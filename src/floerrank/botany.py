@@ -6,8 +6,9 @@ at most 12 means exactly three fibers with multiplicities below 79.  The
 scan enumerates canonical pairwise-coprime tuples inside those bounds,
 evaluates the reduced rank of each, and buckets.
 
-Rank evaluation walks the delta function over [0, N] with numpy; results
-are memoized per canonical tuple.
+Rank evaluation is seifert.walk_statistics, which walks the delta function
+over the first half of [0, N] in fixed-size numpy chunks; results are
+memoized per canonical tuple.
 """
 
 import json

@@ -115,13 +115,14 @@ def check_cache(path: str) -> int:
                 if not line:
                     continue
                 entry = json.loads(line)
-                entries[tuple(entry["tuple"])] = entry
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                tup = tuple(entry["tuple"])
+                entries[tup] = (seifert.SeifertTuple(tup), entry)
+    except (OSError, ValueError, OverflowError, KeyError, TypeError) as exc:
+        # ValueError covers bad JSON and tuples that are not canonical
         print(f"cache unreadable: {exc}", file=sys.stderr)
         return USAGE_ERROR
     bad = 0
-    for tup, entry in sorted(entries.items()):
-        t = seifert.SeifertTuple(tup)
+    for tup, (t, entry) in sorted(entries.items()):
         red, hat = seifert.rank_pair(t)
         ok = (entry.get("rank_red") == red and entry.get("rank_hat") == hat
               and entry.get("n_cutoff") == seifert.n_cutoff(t))
@@ -138,6 +139,8 @@ def _extract_verify_options(tokens):
     i = 0
     while i < len(tokens):
         tok = tokens[i]
+        if tok in ("--n", "--move") and i + 1 == len(tokens):
+            raise ValueError(f"verify: {tok} needs a value")
         if tok == "--n":
             n = int(tokens[i + 1])
             i += 2
@@ -249,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "botany" and getattr(args, "check_cache", None):
-        return check_cache(args.check_cache)
     try:
+        if args.command == "botany" and args.check_cache:
+            return check_cache(args.check_cache)
         return args.func(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,12 @@ G generated by P/p_i: on [0, N] (N the cutoff below) delta is >= 1 exactly
 on members of G, is antisymmetric about N/2, and vanishes or is positive
 after N.  Everything here is exact integer arithmetic; numpy is used only
 for bulk evaluation over ranges.
+
+The ranks come from one kernel, walk_statistics.  It reads kappa, min tau
+and the sign-change count off the tau walk (the formula view; the graded
+root's extrema give the same numbers and are a test oracle).  By the
+antisymmetry it walks only n < N/2, and it evaluates delta there in chunks
+of fixed size, so its memory stays flat as N grows.
 """
 
 from dataclasses import dataclass
@@ -147,16 +153,30 @@ def delta_at(t: SeifertTuple, n: int) -> int:
     return 1 + abs(inv.e0) * n - sum(_ceil_div(n * pp, p) for pp, p in inv.pairs)
 
 
+def _check_delta_range(t: SeifertTuple, inv: NormalizedInvariants, upto: int):
+    # guard numpy intermediates: n * p_i' stays well inside int64 for n <= upto
+    check_int64(4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)))
+
+
+def _delta_range(inv: NormalizedInvariants, start: int, stop: int) -> np.ndarray:
+    """delta(n) for start <= n < stop as int64; the caller guards the range."""
+    n = np.arange(start, stop, dtype=np.int64)
+    acc = n * abs(inv.e0)
+    acc += 1
+    term = np.empty_like(n)
+    for pp, p in inv.pairs:
+        np.multiply(n, pp, out=term)
+        term += p - 1
+        term //= p
+        acc -= term
+    return acc
+
+
 def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
     """delta(n) for n = 0..upto as an int64 array (bulk form of delta_at)."""
     inv = normalized_invariants(t)
-    # guard numpy intermediates: n * p_i' stays well inside int64
-    check_int64(4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)))
-    n = np.arange(upto + 1, dtype=np.int64)
-    acc = 1 + abs(inv.e0) * n
-    for pp, p in inv.pairs:
-        acc -= (n * pp + (p - 1)) // p
-    return acc
+    _check_delta_range(t, inv, upto)
+    return _delta_range(inv, 0, upto + 1)
 
 
 def membership(t: SeifertTuple, n: int) -> NormalForm:
@@ -238,21 +258,23 @@ def tau_sequence(t: SeifertTuple) -> list:
     return [int(v) for v in tau]
 
 
+# delta values walk_statistics evaluates at a time; a few int64 arrays of
+# this length are alive at once, whatever N is
+_CHUNK = 1 << 14
+
+
 @dataclass(frozen=True)
 class WalkStatistics:
     """Rank data read off the tau walk of a tuple.
 
-    kappa, min_tau and c are the sum-of-descents, walk minimum and
-    sign-change count; leaf_count and red_total are the same ranks derived
-    from the walk's local extrema (the graded-root view).  The two views
-    must agree: red_total == kappa + min_tau and leaf_count == c + 1.
+    kappa is the sum of the walk's descents, min_tau its minimum and c the
+    number of - to + sign changes of delta plus one for the final descent,
+    so rank HF_red = kappa + min_tau and rank HF^ = 2c + 1.
     """
 
     kappa: int
     min_tau: int
     c: int
-    leaf_count: int
-    red_total: int
 
     @property
     def rank_red(self) -> int:
@@ -264,26 +286,37 @@ class WalkStatistics:
 
 
 def walk_statistics(t: SeifertTuple) -> WalkStatistics:
-    """Both rank views of the tau walk; degenerate tuples give rank 0/1."""
+    """Rank data of the tau walk over [0, N]; degenerate tuples give rank 0/1.
+
+    Only the half n < N/2 is walked.  delta(N - n) = -delta(n) gives
+    tau(j) = tau(N + 1 - j), and delta(N/2) = 0 when N is even, so kappa is
+    the sum of |delta| over the half and min tau is the half's minimum.  A
+    - to + change in the half reappears mirrored in the second half, the
+    junction of the halves is one more when the half's last nonzero delta
+    is negative, and the final descent adds one: c = 2 c_half + [last < 0]
+    + 1.  delta is evaluated _CHUNK values at a time, carrying tau, its
+    minimum, the change count and the last nonzero sign from chunk to
+    chunk, so memory is flat in N.
+    """
     if t.is_degenerate:
-        return WalkStatistics(kappa=0, min_tau=0, c=0, leaf_count=1, red_total=0)
-    deltas = delta_array(t, n_cutoff(t))
-    nz = deltas[deltas != 0]
-    assert nz[0] > 0 and nz[-1] < 0
-    kappa = int(-nz[nz < 0].sum())
-    tau = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(nz)])
-    min_tau = int(tau.min())
-    neg_to_pos = (nz[:-1] < 0) & (nz[1:] > 0)
-    c = int(neg_to_pos.sum()) + (1 if nz[-1] < 0 else 0)
-    # extrema view: walk maxima at +/- sign flips, minima at -/+ flips
-    pos_to_neg = (nz[:-1] > 0) & (nz[1:] < 0)
-    inner = tau[1:-1]
-    maxima = inner[pos_to_neg]
-    minima = np.concatenate([tau[:1], inner[neg_to_pos], tau[-1:]])
-    leaf_count = len(minima)
-    red_total = int(maxima.sum() - minima.sum() + minima.min())
-    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=c,
-                          leaf_count=leaf_count, red_total=red_total)
+        return WalkStatistics(kappa=0, min_tau=0, c=0)
+    inv = normalized_invariants(t)
+    N = n_cutoff(t)
+    _check_delta_range(t, inv, N)
+    half = (N + 1) // 2
+    kappa = tau = min_tau = changes = last = 0
+    for start in range(0, half, _CHUNK):
+        d = _delta_range(inv, start, min(start + _CHUNK, half))
+        kappa += int(np.abs(d).sum())
+        walk = np.cumsum(d)
+        min_tau = min(min_tau, tau + int(walk.min()))
+        tau += int(walk[-1])
+        nz = d[d != 0]
+        if nz.size:
+            changes += int(np.count_nonzero((nz[:-1] < 0) & (nz[1:] > 0)))
+            changes += int(last < 0 and nz[0] > 0)
+            last = int(nz[-1])
+    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + (last < 0) + 1)
 
 
 def rank_pair(t: SeifertTuple) -> tuple:

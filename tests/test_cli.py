@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,23 @@ def test_rank_csv(capsys):
     code, out, _ = run(capsys, "rank", "2", "3", "5", "7", "--csv")
     assert code == 0
     assert out.strip().split(",")[0] == "13"
+
+
+def test_rank_large_cutoff_bounded_memory(capsys):
+    # N = 44,080,457: a dense walk over [0, N] would allocate about 1.1 GB
+    argv = ["rank"] + [str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)] + ["--json"]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert (data["kappa"], data["min_tau"], data["c"]) == (27286894, -25040582, 1663009)
+    assert (data["rank_red"], data["rank_hat"]) == (2246312, 3326019)
+    assert data["n_cutoff"] == 44080457
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_rank_invalid_tuple(capsys):
@@ -116,6 +134,14 @@ def test_verify_bad_usage(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "branched", "2", "3", "7", "--n"),
+                                  ("verify", "degree", "2", "3", "7", "--move")])
+def test_verify_option_without_value(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: verify: {argv[-1]} needs a value"
+
+
 def test_scan_cli(capsys):
     code, out, _ = run(capsys, "scan", "9")
     assert code == 0
@@ -147,6 +173,13 @@ def test_cache_detects_stale_and_malformed(tmp_path, capsys):
     cache.write_text("{not json\n")
     code, _, err = run(capsys, "botany", "--check-cache", str(cache))
     assert code == 2
+    # an invalid tuple is malformed input, not a stale entry
+    for bad in ([2, 4, 7], [7, 3, 2], [1, 3, 7]):
+        cache.write_text(json.dumps({"tuple": bad, "rank_red": 1, "rank_hat": 3,
+                                     "n_cutoff": 1}) + "\n")
+        code, out, err = run(capsys, "botany", "--check-cache", str(cache))
+        assert code == 2 and out == "", bad
+        assert err.startswith("cache unreadable:") and len(err.splitlines()) == 1, bad
 
 
 def test_version(capsys):

@@ -14,6 +14,7 @@ from floerrank.errors import (
 )
 
 from conftest import random_delta_values, random_tuple
+from walk_oracle import assert_matches_oracle
 
 
 def test_from_seifert_examples():
@@ -156,8 +157,8 @@ def test_seifert_rank_matches_full_tau(rng):
         kappa = int(-sum(d for d in deltas if d < 0))
         rep = from_seifert(t).rank()
         assert rep.rank_red == kappa + min(tau)
-        stats = seifert.walk_statistics(t)
-        assert (stats.rank_red, stats.rank_hat) == (rep.rank_red, rep.rank_hat)
+        oracle = assert_matches_oracle(t)
+        assert (oracle.red_total, 2 * oracle.leaf_count - 1) == (rep.rank_red, rep.rank_hat)
 
 
 def test_json_round_trip():

@@ -14,6 +14,7 @@ from floerrank.errors import (
 )
 
 from conftest import random_tuple
+from walk_oracle import assert_matches_oracle
 
 
 def test_make_tuple_canonicalizes():
@@ -181,11 +182,46 @@ def test_n_cutoff_positive_unless_exceptional(rng):
 def test_walk_statistics_consistency(rng):
     for _ in range(20):
         t = random_tuple(rng, max_product=3 * 10**4)
+        assert_matches_oracle(t)
         stats = seifert.walk_statistics(t)
-        assert stats.red_total == stats.rank_red
-        assert stats.leaf_count == stats.c + 1
         assert stats.rank_hat == 2 * stats.c + 1
         assert stats.rank_red >= 0
+
+
+def test_walk_kernel_matches_dense_oracle():
+    # criterion-4 corpus: 3, 4 and 5 fibers, small and large entries
+    rng = random.Random(41)
+    parities = set()
+    for i in range(300):
+        t = random_tuple(rng, lengths=(3, 3, 3, 4, 4, 5),
+                         max_entry=50 if i % 3 else 400, max_product=10**6)
+        assert_matches_oracle(t)
+        parities.add(seifert.n_cutoff(t) % 2)
+    for ms in ([2, 3, 7], [2, 3, 11], [2, 3, 13], [2, 3, 5, 7], [2, 3, 5, 11, 13]):
+        assert_matches_oracle(seifert.make_tuple(ms))
+    assert parities == {0, 1}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_walk_kernel_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    rng = random.Random(42)
+    ends_on_zero = splits_change = False
+    for _ in range(30):
+        t = random_tuple(rng, lengths=(3, 3, 4, 5), max_product=6000)
+        assert_matches_oracle(t)
+        N = seifert.n_cutoff(t)
+        half = seifert.delta_array(t, N)[:(N + 1) // 2]
+        ends = np.arange(chunk - 1, len(half) - 1, chunk)   # last n of each chunk
+        ends_on_zero |= bool((half[ends] == 0).any())
+        # nonzero delta on either side of a boundary changes from - to +
+        nz_at = np.flatnonzero(half)
+        after = np.searchsorted(nz_at, ends, side="right")
+        inside = (after > 0) & (after < len(nz_at))
+        before_vals = half[nz_at[after[inside] - 1]]
+        after_vals = half[nz_at[after[inside]]]
+        splits_change |= bool(((before_vals < 0) & (after_vals > 0)).any())
+    assert ends_on_zero and splits_change
 
 
 def test_walk_statistics_degenerate():
@@ -198,3 +234,6 @@ def test_delta_array_overflow_guard():
     t = seifert.make_tuple([2, 3, 7])
     with pytest.raises(OverflowError):
         seifert.delta_array(t, 2**62)
+    # the chunked walk guards the whole of [0, N], not one chunk at a time
+    with pytest.raises(OverflowError):
+        seifert.walk_statistics(seifert.make_tuple([2, 3, 10**10 + 1]))
