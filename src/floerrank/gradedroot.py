@@ -7,9 +7,11 @@ vertices per grading, exactly one per grading at and above the
 stabilization grading max(tau).
 
 The tree only depends on the local extrema of tau, so we store the
-compressed alternating min/max sequence and build explicit vertices (via
-union-find over ray x grading cells) only when a vertex-level query or a
-rendering asks for them.  Summary ranks come straight from the extrema:
+compressed alternating min/max sequence and build explicit vertices only
+when a vertex-level query or a rendering asks for them.  A vertex at grading
+h is a maximal run of consecutive extrema that are all <= h; one top-down
+sweep over the gradings finds the runs and each run's parent one grading up.
+Summary ranks come straight from the extrema:
 with minima v_1..v_m and maxima u_1..u_{m-1},
 
     leaves            = m,
@@ -17,10 +19,15 @@ with minima v_1..v_m and maxima u_1..u_{m-1},
     total hat rank     = 2m - 1.
 """
 
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import EmptySequenceError, UnknownFormatError
+
+# explicit trees above this many vertices are refused rather than built
+MAX_VERTICES = 10**6
 
 
 def compress_extrema(tau) -> list:
@@ -52,22 +59,6 @@ def compress_extrema(tau) -> list:
     return out
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 @dataclass(frozen=True)
 class Vertex:
     vertex_id: tuple  # (min ray index, grading): deterministic
@@ -94,10 +85,8 @@ class GradedRoot:
         self._structure = None
 
     @classmethod
-    def from_tau(cls, tau, tail_nondecreasing: bool = True) -> "GradedRoot":
+    def from_tau(cls, tau) -> "GradedRoot":
         """Root of the sequence tau followed by a non-decreasing tail."""
-        if not tail_nondecreasing:
-            raise ValueError("construction requires a non-decreasing tail")
         return cls(compress_extrema(list(tau)))
 
     @classmethod
@@ -124,11 +113,12 @@ class GradedRoot:
 
         Above stabilization every grading has exactly one vertex (implicit).
         """
-        lo = min(self.minima)
-        counts = {}
-        for h in range(lo, self.stabilization + 1):
-            counts[h] = (sum(1 for v in self.minima if v <= h)
-                         - sum(1 for u in self.maxima if u <= h))
+        step = Counter(self.minima)
+        step.subtract(self.maxima)
+        counts, running = {}, 0
+        for h in range(min(self.minima), self.stabilization + 1):
+            running += step[h]
+            counts[h] = running
         return counts
 
     def leaves_by_grading(self) -> dict:
@@ -160,60 +150,53 @@ class GradedRoot:
                 out[h] = total
         return out
 
-    # -- explicit vertices (union-find over the compressed window) ----------
+    # -- explicit vertices (one top-down sweep over the gradings) ----------
 
     def _build_structure(self):
         if self._structure is not None:
             return self._structure
-        rays = self.extrema
-        n_rays = len(rays)
-        lo = min(rays)
-        height = self.stabilization - lo + 1
-        uf = _UnionFind(n_rays * height)
-
-        def cell(i, h):
-            return i * height + (h - lo)
-
-        for i in range(n_rays - 1):
-            glue_from = max(rays[i], rays[i + 1])
-            for h in range(glue_from, self.stabilization + 1):
-                uf.union(cell(i, h), cell(i + 1, h))
-
-        classes = {}
-        for i in range(n_rays):
-            for h in range(rays[i], self.stabilization + 1):
-                classes.setdefault(uf.find(cell(i, h)), []).append((i, h))
-        vertices = {}
-        cls_of_cell = {}
-        for members in classes.values():
-            min_ray = min(i for i, _ in members)
-            h = members[0][1]
-            vid = (min_ray, h)
-            vertices[vid] = Vertex(vertex_id=vid, grading=h)
-            for i, _ in members:
-                cls_of_cell[(i, h)] = vid
+        rays, top = self.extrema, self.stabilization
+        total = (sum(top - v + 1 for v in self.minima)
+                 - sum(top - u + 1 for u in self.maxima))
+        if total > MAX_VERTICES:
+            raise ValueError(f"graded root has {total} vertices, more than the "
+                             f"{MAX_VERTICES} an explicit tree may have")
+        leaving = {}
+        for i, e in enumerate(rays):
+            leaving.setdefault(e, []).append(i)
+        active = [True] * len(rays)
+        starts = [0]  # first ray of each run at the current grading, sorted
+        vertices = [Vertex(vertex_id=(0, top), grading=top)]
         edges = []
-        for (i, h), vid in sorted(cls_of_cell.items()):
-            if h < self.stabilization:
-                parent = cls_of_cell[(i, h + 1)]
-                edge = (vid, parent)
-                if edge not in edges:
-                    edges.append(edge)
-        edges = sorted(set(edges))
-        self._structure = (vertices, edges, cls_of_cell)
+        for h in range(top - 1, min(rays) - 1, -1):
+            above = starts
+            gone = leaving.get(h + 1)
+            if gone:
+                for i in gone:
+                    active[i] = False
+                # a ray that leaves ends or splits its run; its active right
+                # neighbour starts a run
+                new = set(above).difference(gone)
+                new.update(i + 1 for i in gone if i + 1 < len(rays) and active[i + 1])
+                starts = sorted(new)
+            for first in starts:
+                vid = (first, h)
+                vertices.append(Vertex(vertex_id=vid, grading=h))
+                edges.append((vid, (above[bisect_right(above, first) - 1], h + 1)))
+        vertices.sort(key=lambda v: v.vertex_id)
+        edges.sort()
+        self._structure = (vertices, edges)
         return self._structure
 
     def vertices(self) -> list:
-        vertices, _, _ = self._build_structure()
-        return sorted(vertices.values(), key=lambda v: v.vertex_id)
+        return list(self._build_structure()[0])
 
     def edges(self) -> list:
         """(child id, parent id) pairs inside the window."""
-        _, edges, _ = self._build_structure()
-        return edges
+        return self._build_structure()[1]
 
     def structural_vertex_counts(self) -> dict:
-        """Per-grading counts recounted from the union-find classes."""
+        """Per-grading counts recounted from the explicit vertices."""
         counts = {}
         for v in self.vertices():
             counts[v.grading] = counts.get(v.grading, 0) + 1
@@ -221,7 +204,7 @@ class GradedRoot:
 
     def structural_leaves(self) -> list:
         """Vertices with no child, from the explicit tree."""
-        _, edges, _ = self._build_structure()
+        _, edges = self._build_structure()
         parents = {parent for _, parent in edges}
         return [v.vertex_id for v in self.vertices() if v.vertex_id not in parents]
 
@@ -236,7 +219,7 @@ class GradedRoot:
 
     def _layout(self):
         """Column per vertex: leaves in child order, parents at midpoints."""
-        _, edges, _ = self._build_structure()
+        _, edges = self._build_structure()
         children = {}
         for child, parent in edges:
             children.setdefault(parent, []).append(child)
@@ -263,14 +246,15 @@ class GradedRoot:
         width = max(cols.values()) + 1
         label = max(len(str(h)) for h in range(lo, self.stabilization + 1))
         lines = [" " * (label + 1) + _paint(width, {cols[(0, self.stabilization)]: ":"})]
+        by_grading = {}
+        for v, c in cols.items():
+            by_grading.setdefault(v[1], []).append((v, c))
         for h in range(self.stabilization, lo - 1, -1):
-            row = {cols[v]: "o" for v in cols if v[1] == h}
+            row = {c: "o" for _, c in by_grading[h]}
             lines.append(f"{h:>{label}} " + _paint(width, row))
             if h > lo:
                 conn = {}
-                for v, c in cols.items():
-                    if v[1] != h - 1:
-                        continue
+                for v, c in by_grading[h - 1]:
                     pc = cols[parent_of[v]]
                     if pc == c:
                         conn[c] = "|"
@@ -282,7 +266,7 @@ class GradedRoot:
         return "\n".join(line.rstrip() for line in lines) + "\n"
 
     def _render_dot(self) -> str:
-        _, edges, _ = self._build_structure()
+        _, edges = self._build_structure()
         out = ["digraph gradedroot {"]
         out.append(f'  // stabilizes: one vertex per grading >= {self.stabilization}')
         out.append("  node [shape=circle];")
@@ -298,7 +282,7 @@ class GradedRoot:
 
     def _render_svg(self) -> str:
         cols, _ = self._layout()
-        _, edges, _ = self._build_structure()
+        _, edges = self._build_structure()
         lo = min(self.minima)
         scale, margin = 24, 30
 

@@ -24,6 +24,7 @@ from floerrank.errors import FirstElementNegativeError
 from floerrank.gradedroot import GradedRoot
 
 from conftest import random_delta_values, random_tuple
+from root_oracle import union_find_structure
 from walk_oracle import assert_matches_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -202,9 +203,11 @@ def test_criterion_06_structural_vs_formulaic():
         assert sum(root.red_ranks_by_degree().values()) == rep.rank_red, ms
         assert sum(root.hat_ranks_by_degree().values()) == rep.rank_hat, ms
         assert root.structural_vertex_counts() == root.vertex_counts(), ms
+        assert (root.vertices(), root.edges()) == union_find_structure(root.extrema), ms
     elapsed = time.monotonic() - started
     _passed(6, f"leaf count = c+1, per-degree sums = (kappa+min tau, 2c+1) on "
-               f"{checked} scanned tuples + {len(sample)} explicit trees ({elapsed:.1f}s)")
+               f"{checked} scanned tuples + {len(sample)} explicit trees, each equal to "
+               f"the union-find tree ({elapsed:.1f}s)")
 
 
 def test_criterion_07_two_generator_suite():

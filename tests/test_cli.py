@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -75,6 +76,16 @@ def test_root_svg(capsys):
     code, out, _ = run(capsys, "root", "2", "3", "13", "--format", "svg")
     assert code == 0
     assert ET.fromstring(out).tag.endswith("svg")
+
+
+def test_root_refuses_huge_explicit_tree(capsys):
+    # 2 * 10^8 + 1 vertices: refused from the extrema before anything is built
+    started = time.monotonic()
+    code, out, err = run(capsys, "root", "--tau", "0", "100000000", "0")
+    assert time.monotonic() - started < 5
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: graded root has 200000001 vertices")
 
 
 def test_root_bad_input(capsys):

@@ -3,12 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from floerrank import seifert
+from floerrank import gradedroot, seifert
 from floerrank.deltaseq import from_seifert, from_values
 from floerrank.errors import EmptySequenceError, UnknownFormatError
 from floerrank.gradedroot import GradedRoot, compress_extrema
 
 from conftest import random_delta_values, random_tuple
+from root_oracle import oracle_root, row_scan_ascii
 
 DATA = Path(__file__).parent / "data"
 
@@ -100,6 +101,46 @@ def test_seifert_roots_match_rank_formulas(rng):
         assert root.leaves() == rep.c + 1
         assert root.total_red() == rep.rank_red
         assert root.total_hat() == rep.rank_hat
+
+
+def test_structure_matches_union_find_oracle(rng):
+    taus = [[-2, -1, -2, 0, -2], [0]]
+    taus += [from_values(random_delta_values(rng, max_len=14, max_abs=6)).tau()
+             for _ in range(300)]
+    roots = [GradedRoot.from_tau(tau) for tau in taus]
+    tuples = [random_tuple(rng, lengths=(3, 4), max_product=2000) for _ in range(100)]
+    assert {len(t.multiplicities) for t in tuples} == {3, 4}
+    roots += [GradedRoot.from_delta_sequence(from_seifert(t)) for t in tuples]
+    for root in roots:
+        oracle = oracle_root(root.extrema)
+        assert (root.vertices(), root.edges()) == oracle._structure, root.extrema
+        assert root.render("ascii") == row_scan_ascii(oracle), root.extrema
+        for fmt in ("dot", "svg"):
+            assert root.render(fmt) == oracle.render(fmt), (root.extrema, fmt)
+
+
+def test_five_fiber_root_pinned():
+    t = seifert.make_tuple([2, 3, 5, 7, 11])
+    tau = seifert.tau_sequence(t)
+    root = GradedRoot.from_tau(tau)
+    assert len(root.extrema) == 441
+    assert len(root.vertices()) == 1115 and len(root.edges()) == 1114
+    assert len(root.structural_leaves()) == 221
+    # a vertex at grading h is a maximal run of tau values <= h
+    runs = {}
+    for h in range(min(tau), max(tau) + 1):
+        below = [x <= h for x in tau]
+        runs[h] = sum(1 for i, b in enumerate(below) if b and (i == 0 or not below[i - 1]))
+    assert root.structural_vertex_counts() == runs == root.vertex_counts()
+
+
+def test_explicit_tree_size_guard(monkeypatch):
+    root = GradedRoot.from_tau([-2, -1, -2, 0, -2])  # 6 vertices
+    monkeypatch.setattr(gradedroot, "MAX_VERTICES", 5)
+    with pytest.raises(ValueError, match="6 vertices"):
+        root.vertices()
+    monkeypatch.setattr(gradedroot, "MAX_VERTICES", 6)
+    assert len(root.vertices()) == 6
 
 
 def test_ascii_golden_figure():
