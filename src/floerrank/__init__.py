@@ -9,7 +9,7 @@ of a given reduced rank).
 __version__ = "0.1.0"
 
 from .botany import BotanyResult, bounds, solve, table
-from .deltaseq import DeltaSequence, RankReport, from_seifert
+from .deltaseq import DeltaSequence, from_seifert
 from .gradedroot import GradedRoot
 from .morphism import (
     DeltaMorphism,
@@ -50,8 +50,8 @@ from .verify import (
 
 __all__ = [
     "BotanyResult", "DegreeMove", "DeltaMorphism", "DeltaSequence",
-    "GradedRoot", "NormalForm", "NormalizedInvariants", "RankReport",
-    "SeifertTuple", "TwoGenSemigroup", "VerificationReport", "bounds",
+    "GradedRoot", "NormalForm", "NormalizedInvariants", "SeifertTuple",
+    "TwoGenSemigroup", "VerificationReport", "bounds",
     "branched_cover_embeddings", "delta_at", "embed_to_subsequence",
     "euler_number", "fix_defects", "from_seifert", "is_control_function",
     "make_tuple", "membership", "n_cutoff", "normalized_invariants",

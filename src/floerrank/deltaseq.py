@@ -19,7 +19,6 @@ Fraction positions between existing ones so that untouched positions keep
 their identity.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,15 +31,6 @@ from .errors import (
     SignMismatchError,
     SumMismatchError,
 )
-
-
-@dataclass(frozen=True)
-class RankReport:
-    kappa: int
-    min_tau: int
-    c: int
-    rank_red: int
-    rank_hat: int
 
 
 class DeltaSequence:
@@ -94,16 +84,13 @@ class DeltaSequence:
             out.append(out[-1] + v)
         return out
 
-    def rank(self) -> RankReport:
+    def rank(self) -> seifert.WalkStatistics:
         vals = self.values
-        kappa = -sum(v for v in vals if v < 0)
-        tau = self.tau()
-        min_tau = min(tau)
         c = sum(1 for i in range(len(vals) - 1) if vals[i] < 0 < vals[i + 1])
         if vals and vals[-1] < 0:
             c += 1
-        return RankReport(kappa=kappa, min_tau=min_tau, c=c,
-                          rank_red=kappa + min_tau, rank_hat=2 * c + 1)
+        return seifert.WalkStatistics(kappa=-sum(v for v in vals if v < 0),
+                                      min_tau=min(self.tau()), c=c)
 
     def subsequence(self, keep) -> "DeltaSequence":
         """Restriction to a subset of positions; must still start positive."""
@@ -217,22 +204,15 @@ def from_values(values) -> DeltaSequence:
 
 
 def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
-    """Delta sequence of a Seifert tuple.
+    """Delta sequence of a Seifert tuple: the nonzeros of delta on [0, N].
 
-    Positions are the semigroup members S in [0, N] together with their
-    reflections N - S; the delta function is positive exactly on S and
-    negative exactly on the reflections, and its zeros do not affect the
-    graded root.
+    delta is >= 1 exactly on the semigroup members S in [0, N] and is
+    antisymmetric about N/2, so its nonzeros are S together with the
+    reflections N - S, where it is negative.  The zeros it drops do not
+    affect the graded root.
     """
     if t.is_degenerate:
         raise DegenerateTupleError(f"{t} has no delta sequence (reduced rank 0)")
-    N = seifert.n_cutoff(t)
-    members = np.flatnonzero(seifert.semigroup_sieve(t, N))
-    s_set = set(members.tolist())
-    q_set = {N - x for x in s_set}
-    assert not (s_set & q_set)
-    positions = np.array(sorted(s_set | q_set), dtype=np.int64)
-    deltas = seifert.delta_array(t, N)
-    values = deltas[positions]
-    assert bool(((values > 0) == np.isin(positions, members)).all())
-    return DeltaSequence(positions.tolist(), values.tolist())
+    d = seifert.delta_array(t, seifert.n_cutoff(t))
+    positions = np.flatnonzero(d)
+    return DeltaSequence(positions.tolist(), d[positions].tolist())

@@ -135,20 +135,12 @@ class GradedRoot:
         """Hat rank per grading: leaves plus the cokernel contribution.
 
         The cokernel contribution at grading h is the number of vertices at
-        h not hit by a vertex above, i.e. count(h) minus the non-leaf
-        vertices at h+1.  Grading labels are the root's own gradings (no
-        overall shift is applied).
+        h not hit by a vertex above, count(h) - count(h+1) + leaves(h+1),
+        which is the number of maxima at h+1.  Grading labels are the root's
+        own gradings (no overall shift is applied).
         """
-        counts = self.vertex_counts()
-        leaves = self.leaves_by_grading()
-        out = {}
-        for h, n in counts.items():
-            above = counts.get(h + 1, 1)
-            coker = n - (above - leaves.get(h + 1, 0))
-            total = leaves.get(h, 0) + coker
-            if total:
-                out[h] = total
-        return out
+        out = Counter(self.minima) + Counter(u - 1 for u in self.maxima)
+        return dict(sorted(out.items()))
 
     # -- explicit vertices (one top-down sweep over the gradings) ----------
 

@@ -1,10 +1,10 @@
 """End-to-end verifiers for the rank inequalities.
 
-Each verifier constructs the witness morphism family for its inequality,
-validates every property the construction promises, computes the two ranks
-on both sides through two independent routes (the delta-sequence formulas
-and the graded-root extrema), and only then compares.  A "fails" verdict on
-a valid input would mean an implementation bug, never new mathematics.
+Each verifier constructs the witness morphism family for its inequality and
+validates every property the construction promises; the inequality itself is
+then a comparison of the two sides' ranks, read off seifert.rank_pair.  A
+"fails" verdict on a valid input would mean an implementation bug, never new
+mathematics.
 
 Degenerate inputs (S^3-like tuples and (2,3,5)) have reduced rank 0 and hat
 rank 1, so the inequalities hold trivially and no witness is built.
@@ -13,9 +13,7 @@ rank 1, so the inequalities hold trivially and no witness is built.
 from dataclasses import dataclass, field
 
 from . import morphism, seifert
-from .deltaseq import from_seifert
 from .errors import IllegalMoveError, NotComparableError
-from .gradedroot import GradedRoot
 from .arith import gcd
 
 
@@ -43,20 +41,11 @@ class VerificationReport:
         }
 
 
-def cross_checked_ranks(t: seifert.SeifertTuple, report: VerificationReport, label: str):
-    """(reduced, hat) ranks computed twice and required to agree."""
-    if t.is_degenerate:
-        report.ranks[label] = {"red": 0, "hat": 1}
-        return 0, 1
-    ds = from_seifert(t)
-    rank = ds.rank()
-    root = GradedRoot.from_delta_sequence(ds)
-    report.check(f"{label}: formula and root agree (reduced)",
-                 rank.rank_red == root.total_red())
-    report.check(f"{label}: formula and root agree (hat)",
-                 rank.rank_hat == root.total_hat())
-    report.ranks[label] = {"red": rank.rank_red, "hat": rank.rank_hat}
-    return rank.rank_red, rank.rank_hat
+def _ranks(t: seifert.SeifertTuple, report: VerificationReport, label: str):
+    """(reduced, hat) ranks of t, recorded in the report under label."""
+    red, hat = seifert.rank_pair(t)
+    report.ranks[label] = {"red": red, "hat": hat}
+    return red, hat
 
 
 def verify_branched(t: seifert.SeifertTuple, n: int,
@@ -76,8 +65,8 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     report.inputs["fiber"] = fiber
     others = tuple(p for p in t.multiplicities if p != fiber)
     cover = seifert.make_tuple(others + (n * fiber,))
-    red, _ = cross_checked_ranks(t, report, "source")
-    red_cover, _ = cross_checked_ranks(cover, report, "cover")
+    red, _ = _ranks(t, report, "source")
+    red_cover, _ = _ranks(cover, report, "cover")
     maps = morphism.branched_cover_embeddings(t, n, fiber)
     for k, m in enumerate(maps):
         report.check(f"phi_{k} is an embedding", m.is_embedding())
@@ -101,8 +90,8 @@ def verify_branched_hat(t: seifert.SeifertTuple, n: int) -> VerificationReport:
         report.check("degenerate source: inequality is trivial", True)
         return report
     cover = seifert.make_tuple(t.multiplicities[:-1] + (n * t.multiplicities[-1],))
-    _, hat = cross_checked_ranks(t, report, "source")
-    _, hat_cover = cross_checked_ranks(cover, report, "cover")
+    _, hat = _ranks(t, report, "source")
+    _, hat_cover = _ranks(cover, report, "cover")
     m = morphism.branched_cover_embeddings(t, n)[0]
     report.check("phi_0 is an embedding", m.is_embedding())
     report.check("hat rank(source) <= hat rank(cover)", hat <= hat_cover)
@@ -117,8 +106,8 @@ def verify_pinch(base, q: int, r: int) -> VerificationReport:
         inputs={"base": list(base_t.multiplicities), "q": q, "r": r})
     source_t = seifert.make_tuple(base_t.multiplicities + (q * r,))
     target_t = seifert.make_tuple(base_t.multiplicities + (q, r))
-    red_src, _ = cross_checked_ranks(source_t, report, "pinched")
-    red_tgt, _ = cross_checked_ranks(target_t, report, "unpinched")
+    red_src, _ = _ranks(source_t, report, "pinched")
+    red_tgt, _ = _ranks(target_t, report, "unpinched")
     m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
     report.check("pinch map is a one-to-one semi-immersion",
                  m.is_injective() and m.is_semi_immersion())
@@ -144,8 +133,8 @@ def verify_monotone(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -> Verifi
     if t.is_degenerate:
         report.check("degenerate source: inequality is trivial", True)
         return report
-    red_small, _ = cross_checked_ranks(t, report, "small")
-    red_large, _ = cross_checked_ranks(t2, report, "large")
+    red_small, _ = _ranks(t, report, "small")
+    red_large, _ = _ranks(t2, report, "large")
     m = morphism.partial_order_immersion(t, t2)
     report.check("normal-form map is an immersion", m.is_immersion())
     report.check("rank(small) <= rank(large)", red_small <= red_large)
@@ -203,11 +192,6 @@ class DegreeMove:
         raise IllegalMoveError(f"unknown move kind {self.kind!r}")
 
 
-def _ranks_red(t, report, label):
-    red, _ = cross_checked_ranks(t, report, label)
-    return red
-
-
 def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
     """|deg| * rank(end) <= rank(start) along a chain of covering/pinch moves.
 
@@ -248,8 +232,8 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
             report.check(f"{label}: cover witness verified", sub1.verdict == "holds")
             report.check(f"{label}: pinch witness verified", sub2.verdict == "holds")
         current = nxt
-    red_start = _ranks_red(start, report, "start")
-    red_end = _ranks_red(current, report, "end")
+    red_start, _ = _ranks(start, report, "start")
+    red_end, _ = _ranks(current, report, "end")
     report.inputs["end"] = list(current.multiplicities)
     report.ranks["degree"] = degree
     report.check("|deg| * rank(end) <= rank(start)", degree * red_end <= red_start)

@@ -1,9 +1,11 @@
-"""Union-find over ray x grading cells, kept as the oracle for GradedRoot.
+"""Oracles for GradedRoot: the union-find tree and per-grading hat ranks.
 
 Each extremum starts one upward ray; rays i and i+1 are glued at every
 grading >= max(e[i], e[i+1]).  The construction unions those cells and reads
 vertices and edges off the classes.  The library builds the same tree by one
-top-down sweep over the gradings; the tests compare the two.
+top-down sweep over the gradings; the tests compare the two.  The per-grading
+hat ranks are likewise summed grading by grading here, where the library
+counts extrema.
 """
 
 from floerrank.gradedroot import GradedRoot, Vertex, _paint
@@ -98,3 +100,17 @@ def row_scan_ascii(root: GradedRoot) -> str:
                     conn[c - 1] = "\\"
             lines.append(" " * (label + 1) + _paint(width, conn))
     return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def per_grading_hat_ranks(root: GradedRoot) -> dict:
+    """Hat rank per grading, summed grading by grading over vertex_counts."""
+    counts = root.vertex_counts()
+    leaves = root.leaves_by_grading()
+    out = {}
+    for h, n in counts.items():
+        above = counts.get(h + 1, 1)
+        coker = n - (above - leaves.get(h + 1, 0))
+        total = leaves.get(h, 0) + coker
+        if total:
+            out[h] = total
+    return out

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from floerrank import seifert
+from floerrank import botany, seifert
 from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
 from floerrank.errors import (
     DegenerateTupleError,
@@ -14,6 +14,7 @@ from floerrank.errors import (
 )
 
 from conftest import random_delta_values, random_tuple
+from deltaseq_oracle import sieve_from_seifert
 from walk_oracle import assert_matches_oracle
 
 
@@ -25,6 +26,16 @@ def test_from_seifert_examples():
     ds = from_seifert(seifert.make_tuple([2, 3, 35]))
     assert ds.positions == (0, 5, 6, 11, 12, 17, 18, 23, 24, 29)
     assert ds.values == (1, -1) * 5
+
+
+def test_from_seifert_matches_sieve_oracle(rng):
+    tuples = [seifert.make_tuple(ms) for ms in botany.candidates(6)]
+    tuples += [random_tuple(rng, lengths=(4, 5), max_product=5 * 10**4) for _ in range(40)]
+    tuples.append(seifert.make_tuple([2, 3, 5, 7, 11]))
+    assert {t.fiber_count for t in tuples} == {3, 4, 5}
+    for t in tuples:
+        if not t.is_degenerate:
+            assert from_seifert(t) == sieve_from_seifert(t), t
 
 
 def test_from_seifert_degenerate():

@@ -1,3 +1,4 @@
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from floerrank.errors import EmptySequenceError, UnknownFormatError
 from floerrank.gradedroot import GradedRoot, compress_extrema
 
 from conftest import random_delta_values, random_tuple
-from root_oracle import oracle_root, row_scan_ascii
+from root_oracle import oracle_root, per_grading_hat_ranks, row_scan_ascii
 
 DATA = Path(__file__).parent / "data"
 
@@ -117,6 +118,13 @@ def test_structure_matches_union_find_oracle(rng):
         assert root.render("ascii") == row_scan_ascii(oracle), root.extrema
         for fmt in ("dot", "svg"):
             assert root.render(fmt) == oracle.render(fmt), (root.extrema, fmt)
+        assert root.hat_ranks_by_degree() == per_grading_hat_ranks(root), root.extrema
+
+
+def test_hat_ranks_by_degree_ignore_the_grading_span():
+    started = time.monotonic()
+    assert GradedRoot.from_tau([0, 10**8, 0]).hat_ranks_by_degree() == {0: 2, 10**8 - 1: 1}
+    assert time.monotonic() - started < 1.0
 
 
 def test_five_fiber_root_pinned():

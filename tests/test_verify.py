@@ -2,8 +2,11 @@ import math
 
 import pytest
 
-from floerrank import seifert, verify
+import floerrank
+from floerrank import deltaseq, morphism, seifert, verify
+from floerrank.deltaseq import from_seifert
 from floerrank.errors import IllegalMoveError, NotComparableError
+from floerrank.gradedroot import GradedRoot
 from floerrank.verify import DegreeMove
 
 from conftest import random_tuple
@@ -172,12 +175,44 @@ def test_report_json_shape():
     assert data["inputs"]["small"] == [2, 3, 7]
 
 
+def _labelled_tuples(report) -> dict:
+    """The tuple behind each rank label of a report, rebuilt from its inputs."""
+    ins = report.inputs
+    if report.statement == "branched cover rank inequality":
+        others = [p for p in ins["tuple"] if p != ins["fiber"]]
+        pairs = {"source": ins["tuple"], "cover": others + [ins["n"] * ins["fiber"]]}
+    elif report.statement == "vertical pinch rank inequality":
+        pairs = {"pinched": ins["base"] + [ins["q"] * ins["r"]],
+                 "unpinched": ins["base"] + [ins["q"], ins["r"]]}
+    elif report.statement == "partial order rank inequality":
+        pairs = {"small": ins["small"], "large": ins["large"]}
+    else:
+        pairs = {"start": ins["start"], "end": ins["end"]}
+    return {label: seifert.make_tuple(ms) for label, ms in pairs.items()}
+
+
+def _assert_ranks_match_oracles(report):
+    labelled = _labelled_tuples(report)
+    assert set(report.ranks) - {"degree"} == set(labelled), report.statement
+    for label, t in labelled.items():
+        if t.is_degenerate:
+            want = {"red": 0, "hat": 1}
+        else:
+            ds = from_seifert(t)
+            rank = ds.rank()
+            root = GradedRoot.from_delta_sequence(ds)
+            assert (root.total_red(), root.total_hat()) == (rank.rank_red, rank.rank_hat), t
+            want = {"red": rank.rank_red, "hat": rank.rank_hat}
+        assert report.ranks[label] == want, (report.statement, label, t)
+
+
 def test_random_verifier_corpus(rng):
+    reports = []
     for _ in range(8):
         t = random_tuple(rng, lengths=(3,), max_entry=30, max_product=2 * 10**4)
         n = next(k for k in (2, 3, 5, 7)
                  if all(math.gcd(k, p) == 1 for p in t.multiplicities[:-1]))
-        assert verify.verify_branched(t, n).verdict == "holds"
+        reports.append(verify.verify_branched(t, n))
     for _ in range(8):
         t = random_tuple(rng, lengths=(3, 4), max_entry=20, max_product=10**4)
         bumped = list(t.multiplicities)
@@ -190,7 +225,52 @@ def test_random_verifier_corpus(rng):
             continue
         if list(t2.multiplicities) != sorted(bumped):
             continue
-        assert verify.verify_monotone(t, t2).verdict == "holds"
+        reports.append(verify.verify_monotone(t, t2))
+    # degree-map chains: a pinch then a regular cover down to a degenerate
+    # two-fiber end, and a fiber cover between 3-fiber tuples
+    for _ in range(4):
+        t = random_tuple(rng, lengths=(4,), max_entry=20, max_product=5000)
+        q, r, keep, drop = rng.sample(t.multiplicities, 4)
+        base = [keep, drop]
+        reports.append(verify.verify_pinch(base, q, r))
+        reports.append(verify.verify_degree_map(
+            t, [DegreeMove("pinch", fibers=(q, r)), DegreeMove("branched_regular", n=drop)]))
+    for _ in range(4):
+        t = random_tuple(rng, lengths=(3,), max_entry=20, max_product=3000)
+        n = next(k for k in (2, 3, 5, 7, 11, 13)
+                 if all(math.gcd(k, p) == 1 for p in t.multiplicities))
+        fiber = n * t.multiplicities[-1]
+        cover = seifert.make_tuple(list(t.multiplicities[:-1]) + [fiber])
+        reports.append(verify.verify_degree_map(
+            cover, [DegreeMove("branched_fiber", n=n, fibers=(fiber,))]))
+    for report in reports:
+        _assert_ranks_match_oracles(report)
+        assert report.verdict == "holds", report.to_json()
+    assert len({r.statement for r in reports}) == 4
+    assert any(seifert.make_tuple(r.inputs["end"]).is_degenerate
+               for r in reports if "end" in r.inputs)
+
+
+def test_each_witness_builds_each_delta_sequence_once(monkeypatch):
+    calls = []
+    original = deltaseq.from_seifert
+
+    def counting(t):
+        calls.append(t)
+        return original(t)
+
+    # every module binding of from_seifert in the package
+    for module in (floerrank, deltaseq, morphism, verify):
+        if getattr(module, "from_seifert", None) is original:
+            monkeypatch.setattr(module, "from_seifert", counting)
+    assert verify.verify_pinch([2, 3], 5, 7).verdict == "holds"
+    assert sorted(c.multiplicities for c in calls) == [(2, 3, 5, 7), (2, 3, 35)]
+    calls.clear()
+    assert verify.verify_monotone(T(2, 3, 7), T(2, 3, 13)).verdict == "holds"
+    assert len(calls) == 2
+    calls.clear()
+    assert verify.verify_branched(T(2, 3, 7), 5).verdict == "holds"
+    assert len(calls) == 2
 
 
 def test_scan_hat_monotonicity_small():
