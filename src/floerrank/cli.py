@@ -3,7 +3,8 @@
 Subcommands:
     rank    P1 P2 ...            rank invariants of one tuple
     root    P1 P2 ... | --tau    render the graded root (ascii/dot/svg)
-    botany  N | --table NMAX     tuples of a given reduced rank
+    botany  N | --table NMAX     tuples of a given reduced rank (--stats:
+                                 scan counts as JSON on stderr)
     verify  branched|pinch|monotone|degree ...   inequality verifiers
     scan    BOUND                hat-rank monotonicity scan
 
@@ -14,6 +15,7 @@ Exit status: 0 on success, 1 when a verifier reports a failing verdict,
 import argparse
 import json
 import sys
+from collections import Counter
 
 from . import __version__, botany, seifert, verify
 from .deltaseq import from_seifert
@@ -73,19 +75,22 @@ def cmd_root(args) -> int:
 
 
 def cmd_botany(args) -> int:
+    counts = Counter() if args.stats else None
     if args.table is not None:
-        rows = botany.table(args.table)
+        rows = botany.table(args.table, counts)
     else:
         if args.n is None:
             print("botany: give a rank or --table NMAX", file=sys.stderr)
             return USAGE_ERROR
-        rows = {args.n: botany.solve(args.n)}
+        rows = {args.n: botany.solve(args.n, counts)}
     if args.cache:
         _write_cache(args.cache, rows)
     if args.json:
         sys.stdout.write(botany.table_json(rows))
     else:
         sys.stdout.write(botany.table_csv(rows))
+    if counts is not None:
+        print(botany.stats_json(counts), file=sys.stderr)
     return 0
 
 
@@ -232,6 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bot.add_argument("--cache", metavar="PATH")
     p_bot.add_argument("--check-cache", metavar="PATH", dest="check_cache")
     p_bot.add_argument("--json", action="store_true")
+    p_bot.add_argument("--stats", action="store_true",
+                       help="write the scan's rank evaluations, rows and cuts "
+                            "as one JSON line to stderr")
     p_bot.set_defaults(func=cmd_botany)
 
     p_ver = sub.add_parser("verify", help="run an inequality verifier")

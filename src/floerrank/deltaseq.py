@@ -32,6 +32,11 @@ from .errors import (
     SumMismatchError,
 )
 
+# Seifert delta sequences over a longer [0, N] are refused rather than built.
+# from_seifert peaks at about 100 bytes per entry of [0, N] (the dense delta
+# array, then the lists, tuples and dict of the sequence): about 400 MB here.
+MAX_CUTOFF = 4_000_000
+
 
 class DeltaSequence:
     """Immutable delta sequence: sorted positions with nonzero values."""
@@ -209,10 +214,15 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     delta is >= 1 exactly on the semigroup members S in [0, N] and is
     antisymmetric about N/2, so its nonzeros are S together with the
     reflections N - S, where it is negative.  The zeros it drops do not
-    affect the graded root.
+    affect the graded root.  A cutoff N above MAX_CUTOFF is refused with a
+    ValueError before anything is allocated.
     """
     if t.is_degenerate:
         raise DegenerateTupleError(f"{t} has no delta sequence (reduced rank 0)")
-    d = seifert.delta_array(t, seifert.n_cutoff(t))
+    N = seifert.n_cutoff(t)
+    if N > MAX_CUTOFF:
+        raise ValueError(f"delta sequence of {t} spans N = {N}, more than "
+                         f"the N = {MAX_CUTOFF} a sequence may span")
+    d = seifert.delta_array(t, N)
     positions = np.flatnonzero(d)
     return DeltaSequence(positions.tolist(), d[positions].tolist())

@@ -4,6 +4,21 @@ import pytest
 
 from floerrank.seifert import SeifertTuple, make_tuple
 
+
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", default=False,
+                     help="also run the tests marked slow (minutes each)")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: pass --run-slow to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 SMALL_PRIMESISH = [2, 3, 5, 7, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31,
                    37, 41, 43, 47, 49]
 

@@ -1,11 +1,15 @@
 import json
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerrank import botany, seifert
 from floerrank.deltaseq import from_seifert
 
+from botany_oracle import unpruned_ranks, unpruned_rows
 from conftest import random_tuple
 
 DATA = Path(__file__).parent / "data"
@@ -106,3 +110,104 @@ def test_bound_tightness_from_golden_rows():
     for n in range(1, 12):
         assert all(max(t) != 6 * n + 7 for t in golden[n] if t != ("S3",)), n
     assert seifert.rank_pair(seifert.make_tuple([2, 3, 79]))[0] == 13
+
+
+def test_pruned_table_matches_unpruned_oracle():
+    ranks = unpruned_ranks(8)
+    for k in range(1, 9):
+        rows = botany.table(k)
+        assert {n: rows[n].tuples for n in range(1, k + 1)} == unpruned_rows(ranks, k), k
+
+
+def test_pruned_table_prefixes_match_reference_rows():
+    # the reference file is the unpruned scan's table(12); table(k) is its
+    # first rows, byte for byte, for every k
+    golden = (DATA / "table12.csv").read_text().splitlines(keepends=True)
+    for k in range(13):
+        expected = "".join(line for line in golden if int(line.split(",")[0]) <= k)
+        assert botany.table_csv(botany.table(k)) == expected, k
+
+
+@pytest.mark.slow
+def test_pruned_three_fiber_rows_match_unpruned_scan_to_twenty():
+    ranks = unpruned_ranks(20, max_fibers=3)
+    for k in range(13, 21):
+        rows = botany.table(k)
+        pruned = {n: tuple(t for t in rows[n].tuples if len(t) == 3)
+                  for n in range(1, k + 1)}
+        assert pruned == unpruned_rows(ranks, k), k
+
+
+def test_rows_above_twelve():
+    rows = botany.table(30)
+    assert sum(len(rows[n].tuples) for n in range(1, 21)) == 207
+    assert sum(len(rows[n].tuples) for n in range(1, 31)) == 371
+    four = {t: n for n in rows for t in rows[n].tuples if len(t) == 4}
+    assert sorted(four) == [(2, 3, 5, 7), (2, 3, 5, 11), (2, 3, 5, 13),
+                            (2, 3, 7, 11), (3, 4, 5, 7)]
+    assert [t for n in rows for t in rows[n].tuples if len(t) > 4] == []
+    for t, n in four.items():
+        assert seifert.rank_pair(seifert.SeifertTuple(t))[0] == n
+    assert [t for t in botany.table(20)[13].tuples if len(t) == 4] == [(2, 3, 5, 7)]
+    assert botany.solve(13).tuples == rows[13].tuples
+
+
+def test_scan_counts():
+    counts = Counter()
+    rows = botany.table(6, counts)
+    stats = json.loads(botany.stats_json(counts))
+    assert stats["rows"] == sum(len(rows[n].tuples) for n in range(1, 7))
+    assert stats["rank_evals"] == sum(f["rank_evals"] for f in stats["fibers"].values())
+    assert stats["rank_evals"] < 100
+    three, four = stats["fibers"]["3"], stats["fibers"]["4"]
+    assert three["order"] > 0 and three["prime_floor"] > 0
+    # every 3-fiber row but (2,3,5) is too large to prefix a 4-fiber row of rank <= 6
+    assert four["cover"] == three["rows"]
+
+
+def test_prime_floor():
+    assert botany._prime_floor((4, 5, 6)) == (2, 3, 5)
+    assert botany._prime_floor((8, 9, 10)) == (3, 5, 7)
+    assert botany._prime_floor((5, 6, 7, 8)) == (2, 3, 5, 7)
+    assert botany._prime_floor((2, 3, 4)) is None
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    for t in botany.candidates(8):
+        floor = botany._prime_floor(t)
+        if floor is None:
+            continue
+        assert all(a in primes and a <= p for a, p in zip(floor, t)), t
+        # greedy from the top: no prime fits between a_i and its cap
+        caps = [min(p, nxt - 1) for p, nxt in zip(t, floor[1:] + (t[-1] + 1,))]
+        assert all(not any(a < q <= c for q in primes) for a, c in zip(floor, caps)), t
+
+
+def _coprime_above(lower, bumps):
+    """Sorted pairwise-coprime tuple t with t_i >= lower_i + bumps_i."""
+    out = []
+    for m, b in zip(lower, bumps):
+        v = max(m + b, out[-1] + 1 if out else 2)
+        while any(gcd(v, q) != 1 for q in out):
+            v += 1
+        out.append(v)
+    return tuple(out)
+
+
+def coprime_triples(max_bump):
+    return st.lists(st.integers(0, max_bump), min_size=3, max_size=3).map(
+        lambda bumps: _coprime_above((2, 3, 5), bumps))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(coprime_triples(15), st.lists(st.integers(0, 8), min_size=3, max_size=3))
+def test_reduced_rank_never_drops_under_the_partial_order(small, bumps):
+    # the premise of cuts (a) and (b)
+    large = _coprime_above(small, bumps)
+    assert botany.rank_red_of(small) <= botany.rank_red_of(large)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(coprime_triples(6), st.integers(1, 12))
+def test_regular_fiber_cover_bound(t, bump):
+    # the premise of cut (c): p * rank(T) <= rank(T + (p,)) for coprime p > T[-1]
+    p = _coprime_above(t + (t[-1],), (0, 0, 0, bump))[-1]
+    assert p * botany.rank_red_of(t) <= botany.rank_red_of(t + (p,))

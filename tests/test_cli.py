@@ -1,11 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from floerrank import cli
+from floerrank import botany, cli
 
 DATA = Path(__file__).parent / "data"
 
@@ -109,6 +113,44 @@ def test_botany_deterministic(capsys):
     _, first, _ = run(capsys, "botany", "2")
     _, second, _ = run(capsys, "botany", "2")
     assert first == second
+
+
+def test_botany_above_twelve_within_seconds(capsys):
+    for argv, lines in ((["botany", "20"], 17), (["botany", "--table", "30"], 373)):
+        botany.rank_red_of.cache_clear()
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 5, argv
+        assert code == 0 and err == "", argv
+        assert len(out.splitlines()) == lines, argv
+
+
+def test_botany_stats_leaves_stdout_unchanged(capsys):
+    for argv in (["--table", "6"], ["5"], ["--table", "3", "--json"]):
+        plain = run(capsys, "botany", *argv)
+        code, out, err = run(capsys, "botany", *argv, "--stats")
+        assert plain == (0, out, "") and code == 0, argv
+        assert len(err.splitlines()) == 1, argv
+        stats = json.loads(err)
+        assert stats["rank_evals"] > 0 and set(stats["fibers"]) >= {"3"}, argv
+
+
+def test_dense_sequence_refused_under_memory_cap():
+    # N = 44,080,457 and 35,431,817: the sequences would need gigabytes, so
+    # both commands refuse before allocating, even under a 1.5 GB cap
+    cap = 1500 * 2**20
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    for argv in (["root", "2", "3", "5", "7", "11", "13", "17", "19"],
+                 ["verify", "branched", "2", "3", "5", "7", "11", "13", "17", "--n", "19"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "floerrank.cli", *argv], env=env, capture_output=True,
+            text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: delta sequence of ("), proc.stderr
 
 
 def test_verify_pinch_cli(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from floerrank import botany, seifert
+from floerrank import botany, deltaseq, seifert
 from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
 from floerrank.errors import (
     DegenerateTupleError,
@@ -41,6 +41,15 @@ def test_from_seifert_matches_sieve_oracle(rng):
 def test_from_seifert_degenerate():
     with pytest.raises(DegenerateTupleError):
         from_seifert(seifert.make_tuple([2, 3, 5]))
+
+
+def test_from_seifert_refuses_cutoff_above_limit(monkeypatch):
+    t = seifert.make_tuple([2, 3, 13])          # N = 7
+    monkeypatch.setattr(deltaseq, "MAX_CUTOFF", 7)
+    assert len(from_seifert(t)) == 4
+    monkeypatch.setattr(deltaseq, "MAX_CUTOFF", 6)
+    with pytest.raises(ValueError, match=r"spans N = 7, more than the N = 6"):
+        from_seifert(t)
 
 
 def test_tau_prefix_sums():
