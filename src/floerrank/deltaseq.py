@@ -14,12 +14,11 @@ the tree construction computes, and it is what makes the subsequence +
 complement inequality hold.  For sequences coming from Seifert tuples the
 endpoint sum is 0, so the endpoint never changes the minimum there.
 
-Positions are integers for Seifert-derived sequences; refinements introduce
-Fraction positions between existing ones so that untouched positions keep
-their identity.
+A sequence is two read-only int64 arrays, strictly increasing integer
+positions and their values.  Restrictions and merges keep the positions
+they retain; a refinement returns a sequence re-indexed to positions
+0..k-1, since only the order of the positions matters to the ranks.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -33,179 +32,153 @@ from .errors import (
 )
 
 # Seifert delta sequences over a longer [0, N] are refused rather than built.
-# from_seifert peaks at about 100 bytes per entry of [0, N] (the dense delta
-# array, then the lists, tuples and dict of the sequence): about 400 MB here.
+# from_seifert peaks at about 32 bytes per entry of [0, N] (the int64
+# temporaries of delta_array, then the dense delta array beside the nonzeros'
+# positions and values, traced by tracemalloc): about 130 MB here.
 MAX_CUTOFF = 4_000_000
+
+
+def _frozen(data) -> np.ndarray:
+    arr = np.array(data, dtype=np.int64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _find(ordered: np.ndarray, items):
+    """Insertion indices of items in a sorted array, and which items it holds."""
+    items = np.asarray(items, dtype=np.int64)
+    idx = np.searchsorted(ordered, items)
+    if not ordered.size:
+        return idx, np.zeros(items.shape, dtype=bool)
+    return idx, np.take(ordered, idx, mode="clip") == items
 
 
 class DeltaSequence:
     """Immutable delta sequence: sorted positions with nonzero values."""
 
     def __init__(self, positions, values):
-        positions = tuple(positions)
-        values = tuple(int(v) for v in values)
-        if len(positions) != len(values):
-            raise ValueError("positions and values must have equal length")
-        if any(positions[i] >= positions[i + 1] for i in range(len(positions) - 1)):
+        positions, values = _frozen(positions), _frozen(values)
+        if positions.ndim != 1 or positions.shape != values.shape:
+            raise ValueError("positions and values must be 1-d of equal length")
+        if np.any(positions[1:] <= positions[:-1]):
             raise ValueError("positions must be strictly increasing")
-        if any(v == 0 for v in values):
+        if not values.all():
             raise ValueError("values must be nonzero")
-        if values and values[0] < 0:
+        if values.size and values[0] < 0:
             raise FirstElementNegativeError("first value must be positive")
         self.positions = positions
         self.values = values
-        self._value_at = dict(zip(positions, values))
 
     def __len__(self):
         return len(self.positions)
 
     def __eq__(self, other):
         return (isinstance(other, DeltaSequence)
-                and self.positions == other.positions
-                and self.values == other.values)
-
-    def __hash__(self):
-        return hash((self.positions, self.values))
+                and np.array_equal(self.positions, other.positions)
+                and np.array_equal(self.values, other.values))
 
     def __repr__(self):
-        pairs = ", ".join(f"{p}:{v:+d}" for p, v in zip(self.positions, self.values))
+        pairs = ", ".join(f"{p}:{v:+d}" for p, v in
+                          zip(self.positions.tolist(), self.values.tolist()))
         return f"DeltaSequence({pairs})"
 
-    def value_at(self, position):
-        return self._value_at[position]
+    def indices_of(self, positions) -> np.ndarray:
+        """Indices of the given positions; ValueError if one is absent."""
+        idx, found = _find(self.positions, positions)
+        if not found.all():
+            missing = np.asarray(positions)[~found]
+            raise ValueError(f"{missing[:5].tolist()} are not positions of this sequence")
+        return idx
+
+    def value_at(self, position) -> int:
+        return int(self.values[self.indices_of(position)])
 
     @property
-    def positive_positions(self):
-        return tuple(p for p, v in zip(self.positions, self.values) if v > 0)
+    def positive_positions(self) -> np.ndarray:
+        return self.positions[self.values > 0]
 
     @property
-    def negative_positions(self):
-        return tuple(p for p, v in zip(self.positions, self.values) if v < 0)
+    def negative_positions(self) -> np.ndarray:
+        return self.positions[self.values < 0]
 
     def tau(self) -> list:
         """All k+1 prefix sums of the values; entry 0 is 0."""
-        out = [0]
-        for v in self.values:
-            out.append(out[-1] + v)
-        return out
+        return [0] + np.cumsum(self.values).tolist()
 
     def rank(self) -> seifert.WalkStatistics:
         vals = self.values
-        c = sum(1 for i in range(len(vals) - 1) if vals[i] < 0 < vals[i + 1])
-        if vals and vals[-1] < 0:
-            c += 1
-        return seifert.WalkStatistics(kappa=-sum(v for v in vals if v < 0),
-                                      min_tau=min(self.tau()), c=c)
+        c = np.count_nonzero((vals[:-1] < 0) & (vals[1:] > 0))
+        c += vals.size > 0 and vals[-1] < 0
+        return seifert.WalkStatistics(kappa=-int(vals[vals < 0].sum()),
+                                      min_tau=int(np.cumsum(vals).min(initial=0)),
+                                      c=int(c))
+
+    def _restrict(self, mask) -> "DeltaSequence":
+        return DeltaSequence(self.positions[mask], self.values[mask])
 
     def subsequence(self, keep) -> "DeltaSequence":
         """Restriction to a subset of positions; must still start positive."""
-        keep = set(keep)
-        pairs = [(p, v) for p, v in zip(self.positions, self.values) if p in keep]
-        if pairs and pairs[0][1] < 0:
+        mask = _find(np.sort(np.fromiter(keep, dtype=np.int64)), self.positions)[1]
+        if mask.any() and self.values[mask][0] < 0:
             raise FirstElementNegativeError(
                 "restriction starts with a negative value; not a delta sequence")
-        return DeltaSequence([p for p, _ in pairs], [v for _, v in pairs])
+        return self._restrict(mask)
 
     def complement(self, removed) -> "DeltaSequence":
         """Complementary sequence: drop removed, then trim leading negatives."""
-        removed = set(removed)
-        pairs = [(p, v) for p, v in zip(self.positions, self.values) if p not in removed]
-        while pairs and pairs[0][1] < 0:
-            pairs.pop(0)
-        return DeltaSequence([p for p, _ in pairs], [v for _, v in pairs])
-
-    def _fresh_positions(self, index: int, count: int):
-        """count positions starting at positions[index], before the next one."""
-        start = self.positions[index]
-        if index + 1 < len(self.positions):
-            gap = self.positions[index + 1] - start
-        else:
-            gap = count  # room past the end
-        step = Fraction(gap, count)
-        out = []
-        for j in range(count):
-            pos = start + j * step
-            if isinstance(pos, Fraction) and pos.denominator == 1:
-                pos = int(pos)
-            out.append(pos)
-        return out
+        mask = ~_find(np.sort(np.fromiter(removed, dtype=np.int64)), self.positions)[1]
+        mask &= np.cumsum(mask & (self.values > 0)) > 0
+        return self._restrict(mask)
 
     def refine(self, at, parts) -> "DeltaSequence":
         """Split the value at a position into consecutive same-sign parts."""
-        if at not in self._value_at:
-            raise ValueError(f"{at} is not a position of this sequence")
         return self.refine_many({at: parts})
 
     def refine_many(self, splits: dict) -> "DeltaSequence":
-        """Apply several refinements at once (one pass over the sequence)."""
-        new_pos, new_val = [], []
-        for idx, (p, v) in enumerate(zip(self.positions, self.values)):
-            parts = splits.get(p)
-            if parts is None:
-                new_pos.append(p)
-                new_val.append(v)
-                continue
-            parts = [int(x) for x in parts]
-            if any(x == 0 or (x > 0) != (v > 0) for x in parts):
-                raise SignMismatchError(f"parts {parts} must share the sign of {v}")
-            if sum(parts) != v:
-                raise SumMismatchError(f"parts {parts} must sum to {v}")
-            new_pos.extend(self._fresh_positions(idx, len(parts)))
-            new_val.extend(parts)
-        return DeltaSequence(new_pos, new_val)
+        """Apply several refinements at once; the result sits at 0..k-1."""
+        idx = self.indices_of(list(splits))
+        pieces, prev = [], 0
+        for i, parts in sorted(zip(idx.tolist(), splits.values())):
+            parts = np.array(parts, dtype=np.int64)
+            v = int(self.values[i])
+            if np.any((parts > 0) != (v > 0)) or not parts.all():
+                raise SignMismatchError(f"parts {parts.tolist()} must share the sign of {v}")
+            if int(parts.sum()) != v:
+                raise SumMismatchError(f"parts {parts.tolist()} must sum to {v}")
+            pieces += [self.values[prev:i], parts]
+            prev = i + 1
+        values = np.concatenate(pieces + [self.values[prev:]])
+        return DeltaSequence(np.arange(values.size), values)
 
     def merge(self, run) -> "DeltaSequence":
         """Replace a consecutive same-sign run of positions by their sum."""
-        run = sorted(run, key=self.positions.index)
-        idxs = [self.positions.index(p) for p in run]
-        if idxs != list(range(idxs[0], idxs[0] + len(idxs))):
-            raise NotConsecutiveError(f"positions {run} are not consecutive")
-        vals = [self.values[i] for i in idxs]
-        if len({v > 0 for v in vals}) != 1:
-            raise SignMismatchError(f"run values {vals} are not of one sign")
-        i0, i1 = idxs[0], idxs[-1]
-        new_pos = list(self.positions[:i0]) + [self.positions[i0]] + list(self.positions[i1 + 1:])
-        new_val = list(self.values[:i0]) + [sum(vals)] + list(self.values[i1 + 1:])
-        return DeltaSequence(new_pos, new_val)
+        idxs = np.sort(self.indices_of(list(run)))
+        i0, i1 = int(idxs[0]), int(idxs[-1])
+        if not np.array_equal(idxs, np.arange(i0, i1 + 1)):
+            raise NotConsecutiveError(f"positions {list(run)} are not consecutive")
+        vals = self.values[i0:i1 + 1]
+        if np.any((vals > 0) != (vals[0] > 0)):
+            raise SignMismatchError(f"run values {vals.tolist()} are not of one sign")
+        values = np.concatenate([self.values[:i0], [vals.sum()], self.values[i1 + 1:]])
+        return DeltaSequence(np.delete(self.positions, np.s_[i0 + 1:i1 + 1]), values)
 
     def canonical_values(self) -> list:
         """Maximal same-sign runs merged; equal lists mean equivalent sequences."""
-        out = []
-        for v in self.values:
-            if out and (out[-1] > 0) == (v > 0):
-                out[-1] += v
-            else:
-                out.append(v)
-        return out
+        signs = self.values > 0
+        starts = np.flatnonzero(np.concatenate([[True], signs[1:] != signs[:-1]]))
+        return np.add.reduceat(self.values, starts).tolist() if self.values.size else []
 
     def to_json(self) -> dict:
-        return {
-            "positions": [position_to_json(p) for p in self.positions],
-            "values": list(self.values),
-        }
+        return {"positions": self.positions.tolist(), "values": self.values.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "DeltaSequence":
-        return cls([position_from_json(p) for p in data["positions"]], data["values"])
-
-
-def position_to_json(p):
-    """Integers stay integers; Fraction positions serialize as "num/den"."""
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return int(p)
-
-
-def position_from_json(p):
-    if isinstance(p, str):
-        num, den = p.split("/")
-        return Fraction(int(num), int(den))
-    return int(p)
+        return cls(data["positions"], data["values"])
 
 
 def from_values(values) -> DeltaSequence:
     """Sequence at positions 0..k-1 carrying the given values."""
-    return DeltaSequence(range(len(values)), values)
+    return DeltaSequence(np.arange(len(values)), values)
 
 
 def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
@@ -225,4 +198,4 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
                          f"the N = {MAX_CUTOFF} a sequence may span")
     d = seifert.delta_array(t, N)
     positions = np.flatnonzero(d)
-    return DeltaSequence(positions.tolist(), d[positions].tolist())
+    return DeltaSequence(positions, d[positions])

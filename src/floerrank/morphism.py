@@ -26,12 +26,13 @@ semigroup.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import seifert
 from .arith import gcd, mod_inverse, pairwise_coprime
-from .deltaseq import DeltaSequence, from_seifert, position_to_json
+from .deltaseq import DeltaSequence, from_seifert
 from .errors import (
     DegenerateTupleError,
-    FirstElementNegativeError,
     NotBadError,
     NotComparableError,
     NotControlledError,
@@ -43,74 +44,68 @@ from .errors import (
 )
 
 
+def _distinct(values: np.ndarray) -> bool:
+    ordered = np.sort(values)
+    return bool(np.all(ordered[1:] != ordered[:-1]))
+
+
 class DeltaMorphism:
     """A total position map between two delta sequences.
 
-    Only positions are stored; every validator recomputes value and order
-    data from the two sequences.
+    mapping lists the image of each source position, in source order; it is
+    converted once into index, a read-only int64 array holding for each
+    source position the index of its image among the target's positions.
+    A position outside the target is refused.  Each validator is a few
+    array operations over index and the two sequences' values.
     """
 
-    def __init__(self, source: DeltaSequence, target: DeltaSequence, mapping: dict):
-        missing = set(source.positions) - set(mapping)
-        if missing:
-            raise ValueError(f"mapping not total; missing {sorted(missing)[:5]}")
-        extra = set(mapping) - set(source.positions)
-        if extra:
-            raise ValueError(f"mapping has unknown source positions {sorted(extra)[:5]}")
-        bad_targets = {v for v in mapping.values()} - set(target.positions)
-        if bad_targets:
-            raise ValueError(f"mapping leaves target positions {sorted(bad_targets)[:5]}")
+    def __init__(self, source: DeltaSequence, target: DeltaSequence, mapping):
+        index = target.indices_of(mapping)
+        if index.shape != source.positions.shape:
+            raise ValueError(f"mapping has {index.size} images for "
+                             f"{len(source)} source positions")
+        index.flags.writeable = False
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.index = index
         self._defect_table = None
 
-    def image(self, position):
-        return self.mapping[position]
+    @property
+    def mapping(self) -> np.ndarray:
+        """The image positions, in source order."""
+        return self.target.positions[self.index]
+
+    def image(self, position) -> int:
+        return int(self.target.positions[self.index[self.source.indices_of(position)]])
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
+        return _distinct(self.index)
 
     def is_morphism(self) -> bool:
         """Positive positions land on positive values, negative on negative."""
-        src, tgt = self.source, self.target
-        return all((src.value_at(z) > 0) == (tgt.value_at(self.mapping[z]) > 0)
-                   for z in src.positions)
+        return np.array_equal(self.source.values > 0, self.target.values[self.index] > 0)
+
+    def preserves_values(self) -> bool:
+        return np.array_equal(self.source.values, self.target.values[self.index])
 
     def _mixed_order_forward(self) -> bool:
         # for x positive, y negative, x < y: image(x) < image(y)
-        src = self.source
-        running_max = None
-        for z in src.positions:
-            if src.value_at(z) > 0:
-                img = self.mapping[z]
-                if running_max is None or img > running_max:
-                    running_max = img
-            elif running_max is not None and not running_max < self.mapping[z]:
-                return False
-        return True
+        pos = self.source.values > 0
+        prefix_max = np.maximum.accumulate(np.where(pos, self.index, -1))
+        return bool(np.all(prefix_max[~pos] < self.index[~pos]))
 
     def _mixed_order_backward(self) -> bool:
         # for x positive, y negative, y < x: image(y) < image(x)
-        src = self.source
-        running_min = None
-        for z in reversed(src.positions):
-            if src.value_at(z) > 0:
-                img = self.mapping[z]
-                if running_min is None or img < running_min:
-                    running_min = img
-            elif running_min is not None and not self.mapping[z] < running_min:
-                return False
-        return True
+        pos = self.source.values > 0
+        suffix_min = np.minimum.accumulate(
+            np.where(pos, self.index, len(self.target))[::-1])[::-1]
+        return bool(np.all(self.index[~pos] < suffix_min[~pos]))
 
     def _capacity_ok(self) -> bool:
         # |target value| covers the total |source value| of its fiber
-        load = {}
-        for z in self.source.positions:
-            img = self.mapping[z]
-            load[img] = load.get(img, 0) + abs(self.source.value_at(z))
-        return all(abs(self.target.value_at(img)) >= total
-                   for img, total in load.items())
+        load = np.zeros(len(self.target), dtype=np.int64)
+        np.add.at(load, self.index, np.abs(self.source.values))
+        return bool(np.all(load <= np.abs(self.target.values)))
 
     def is_semi_immersion(self) -> bool:
         return self.is_morphism() and self._mixed_order_forward()
@@ -125,69 +120,52 @@ class DeltaMorphism:
                 and self._capacity_ok())
 
     def is_isomorphism(self) -> bool:
-        if not self.is_morphism():
-            return False
-        if len(self.mapping) != len(self.target.positions) or not self.is_injective():
-            return False
-        images = [self.mapping[z] for z in self.source.positions]
-        if any(images[i] >= images[i + 1] for i in range(len(images) - 1)):
-            return False
-        return all(self.source.value_at(z) == self.target.value_at(self.mapping[z])
-                   for z in self.source.positions)
+        return (len(self.source) == len(self.target)
+                and np.array_equal(self.index, np.arange(len(self.target)))
+                and self.preserves_values())
 
     def is_isomorphism_onto_image(self) -> bool:
         """Order-preserving value-preserving injection (image may be proper)."""
-        try:
-            sub = self.target.subsequence(set(self.mapping.values()))
-        except FirstElementNegativeError:
-            return False
-        return DeltaMorphism(self.source, sub, self.mapping).is_isomorphism()
+        return bool(np.all(np.diff(self.index) > 0)) and self.preserves_values()
 
     def is_right_veering(self) -> bool:
-        src, tgt = self.source, self.target
-        if not self.is_morphism():
-            return False
-        if len(self.mapping) != len(tgt.positions) or not self.is_injective():
-            return False
-        for sign_positions in (src.positive_positions, src.negative_positions):
-            images = [self.mapping[z] for z in sign_positions]
-            if any(images[i] >= images[i + 1] for i in range(len(images) - 1)):
-                return False
-        if not self._mixed_order_forward():
-            return False
-        return all(src.value_at(z) == tgt.value_at(self.mapping[z])
-                   for z in src.positions)
+        # order inside each sign class and preserved values make it one-to-one
+        pos = self.source.values > 0
+        return (len(self.source) == len(self.target)
+                and self.preserves_values()
+                and bool(np.all(np.diff(self.index[pos]) > 0))
+                and bool(np.all(np.diff(self.index[~pos]) > 0))
+                and self._mixed_order_forward())
 
     def defect_table(self) -> "DefectTable":
-        if self._defect_table is not None:
-            return self._defect_table
-        if not (self.is_injective() and self.is_semi_immersion()):
-            raise NotSemiImmersionError("defects need a one-to-one semi-immersion")
-        defects = {}
-        for z in self.source.positions:
-            defects[z] = (abs(self.source.value_at(z))
-                          - abs(self.target.value_at(self.mapping[z])))
-        self._defect_table = DefectTable(
-            defects=defects,
-            bad=tuple(z for z in self.source.positions if defects[z] > 0),
-            good=tuple(z for z in self.source.positions if defects[z] < 0),
-            neutral=tuple(z for z in self.source.positions if defects[z] == 0),
-        )
+        if self._defect_table is None:
+            if not (self.is_injective() and self.is_semi_immersion()):
+                raise NotSemiImmersionError("defects need a one-to-one semi-immersion")
+            defects = np.abs(self.source.values) - np.abs(self.target.values[self.index])
+            defects.flags.writeable = False
+            positions = self.source.positions
+            self._defect_table = DefectTable(defects=defects,
+                                             bad=positions[defects > 0],
+                                             good=positions[defects < 0],
+                                             neutral=positions[defects == 0])
         return self._defect_table
 
     def to_json(self) -> dict:
-        return {"map": [[position_to_json(z), position_to_json(self.mapping[z])]
-                        for z in self.source.positions]}
+        return {"map": np.column_stack([self.source.positions, self.mapping]).tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DefectTable:
-    """Per-position capacity excess of a one-to-one semi-immersion."""
+    """Capacity excess of a one-to-one semi-immersion at each source position.
 
-    defects: dict
-    bad: tuple      # positive defect
-    good: tuple     # negative defect
-    neutral: tuple
+    defects is in source order; bad, good and neutral are the source
+    positions of positive, negative and zero defect.
+    """
+
+    defects: np.ndarray
+    bad: np.ndarray
+    good: np.ndarray
+    neutral: np.ndarray
 
 
 def is_control_function(m: DeltaMorphism, theta: dict) -> bool:
@@ -198,74 +176,63 @@ def is_control_function(m: DeltaMorphism, theta: dict) -> bool:
     good image must absorb at least the defect of its bad point.
     """
     table = m.defect_table()
-    bad, good = set(table.bad), set(table.good)
-    if set(theta.keys()) != bad:
+    bad = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
+    good = np.fromiter(theta.values(), dtype=np.int64, count=len(theta))
+    if not (np.array_equal(np.sort(bad), table.bad) and _distinct(good)
+            and np.isin(good, table.good, assume_unique=True).all()):
         return False
-    if len(set(theta.values())) != len(theta):
-        return False
-    if not set(theta.values()) <= good:
-        return False
-    positive = set(m.source.positive_positions)
-    for b, g in theta.items():
-        if (b in positive) != (g in positive):
-            return False
-        if b in positive:
-            if not g < b:
-                return False
-        elif not g > b:
-            return False
-        if abs(table.defects[b]) > abs(table.defects[g]):
-            return False
-    return True
+    b, g = m.source.indices_of(bad), m.source.indices_of(good)
+    positive = m.source.values[b] > 0
+    return bool(np.array_equal(positive, m.source.values[g] > 0)
+                and np.all(np.where(positive, good < bad, good > bad))
+                and np.all(np.abs(table.defects[b]) <= np.abs(table.defects[g])))
 
 
 def embed_to_subsequence(m: DeltaMorphism):
     """Turn an embedding into an isomorphism onto a delta subsequence.
 
-    Target fibers are refined so the map becomes injective with matching
-    values, then order inside each sign class is repaired by swapping
-    adjacent inverted pairs (a merge followed by the transposed refinement).
-    Returns (refined source, refined target, morphism between them); the
-    morphism is an isomorphism onto its image and ranks are unchanged.
+    Each target value is refined into the values of its fiber, in source
+    order, plus the remainder the fiber leaves, so the map becomes injective
+    with matching values.  Order inside each sign class is then repaired by
+    sorting the images inside every maximal same-sign run of the source,
+    carrying the values: each swap of neighbours is a merge followed by the
+    transposed refinement.  Returns (refined source, refined target,
+    morphism between them); the refined target sits at positions 0..k-1,
+    the morphism is an isomorphism onto its image and ranks are unchanged.
     """
     if not m.is_embedding():
         raise NotEmbeddingError("map is not an embedding")
-    source, target, mapping = m.source, m.target, dict(m.mapping)
+    source, index = m.source, m.index
+    counts = np.bincount(index, minlength=len(m.target))
+    remainder = m.target.values.copy()
+    np.subtract.at(remainder, index, source.values)
+    has_rem = remainder != 0
+    before = np.cumsum(has_rem) - has_rem      # remainders ahead of each fiber
+    order = np.argsort(index, kind="stable")   # source indices fiber by fiber
+    slot = np.empty_like(index)
+    slot[order] = np.arange(index.size) + before[index[order]]
+    values = np.empty(index.size + np.count_nonzero(has_rem), dtype=np.int64)
+    values[slot] = source.values
+    values[(np.cumsum(counts) + before)[has_rem]] = remainder[has_rem]
+    target = DeltaSequence(np.arange(values.size), values)
 
-    fibers = {}
-    for z in source.positions:
-        fibers.setdefault(mapping[z], []).append(z)
-    splits = {}
-    for img, fiber in fibers.items():
-        parts = [source.value_at(w) for w in fiber]
-        remainder = target.value_at(img) - sum(parts)
-        if len(fiber) == 1 and remainder == 0:
-            continue
-        splits[img] = parts + ([remainder] if remainder else [])
-    target = target.refine_many(splits)
-    tgt_index = {p: i for i, p in enumerate(target.positions)}
-    for img in splits:
-        start = tgt_index[img]
-        for w, spot in zip(fibers[img], target.positions[start:start + len(fibers[img])]):
-            mapping[w] = spot
-
-    # bubble out inversions within a sign class; each swap carries values
-    values = list(source.values)
-    positions = list(source.positions)
-    images = [mapping[z] for z in positions]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(positions) - 1):
-            same_sign = (values[i] > 0) == (values[i + 1] > 0)
-            if same_sign and images[i] > images[i + 1]:
-                values[i], values[i + 1] = values[i + 1], values[i]
-                images[i], images[i + 1] = images[i + 1], images[i]
-                changed = True
-    refined_source = DeltaSequence(positions, values)
-    result = DeltaMorphism(refined_source, target, dict(zip(positions, images)))
+    run = np.cumsum(np.diff(source.values > 0, prepend=source.values[:1] > 0))
+    perm = np.lexsort((slot, run))
+    refined_source = DeltaSequence(source.positions, source.values[perm])
+    result = DeltaMorphism(refined_source, target, slot[perm])
     assert result.is_isomorphism_onto_image()
     return refined_source, target, result
+
+
+def _split_in_two(seq: DeltaSequence, at, first) -> DeltaSequence:
+    """Refine the value at each index in at into (first, the rest)."""
+    parts = np.column_stack([first, seq.values[at] - first]).tolist()
+    return seq.refine_many(dict(zip(seq.positions[at].tolist(), parts)))
+
+
+def _after_split(at, i):
+    """Index of old index i once every index in at is split in two."""
+    return i + np.searchsorted(np.sort(at), i)
 
 
 def fix_defects(m: DeltaMorphism, theta: dict):
@@ -275,30 +242,21 @@ def fix_defects(m: DeltaMorphism, theta: dict):
     of its image; each matched good image g splits into (g1, g2) with g1
     carrying exactly the value of theta(b).  The map keeps b1 -> image(b)
     and theta(b) -> g1 and sends the excess b2 to the slack g2.
-    Returns (refined source, refined target, one-to-one immersion).
+    Returns (refined source, refined target, one-to-one immersion), both
+    sequences re-indexed to positions 0..k-1.
     """
     if not is_control_function(m, theta):
         raise NotControlledError("theta is not a control function for the map")
-    source, target, mapping = m.source, m.target, dict(m.mapping)
-    table = m.defect_table()
-
-    source_splits, target_splits = {}, {}
-    for b in table.bad:
-        g = mapping[theta[b]]
-        matched = target.value_at(mapping[b])
-        source_splits[b] = [matched, source.value_at(b) - matched]
-        matched_good = source.value_at(theta[b])
-        target_splits[g] = [matched_good, target.value_at(g) - matched_good]
-    new_source = source.refine_many(source_splits)
-    new_target = target.refine_many(target_splits)
-
-    src_index = {p: i for i, p in enumerate(new_source.positions)}
-    tgt_index = {p: i for i, p in enumerate(new_target.positions)}
-    for b in table.bad:
-        b2 = new_source.positions[src_index[b] + 1]
-        g2 = new_target.positions[tgt_index[mapping[theta[b]]] + 1]
-        mapping[b2] = g2
-
+    source, target, index = m.source, m.target, m.index
+    bad = m.defect_table().bad
+    b = source.indices_of(bad)
+    controls = source.indices_of([theta[x] for x in bad.tolist()])
+    g = index[controls]
+    new_source = _split_in_two(source, b, target.values[index[b]])
+    new_target = _split_in_two(target, g, source.values[controls])
+    mapping = np.empty(len(new_source), dtype=np.int64)
+    mapping[_after_split(b, np.arange(len(source)))] = _after_split(g, index)
+    mapping[_after_split(b, b) + 1] = _after_split(g, g) + 1
     result = DeltaMorphism(new_source, new_target, mapping)
     assert result.is_injective() and result.is_immersion()
     return new_source, new_target, result
@@ -327,14 +285,11 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     if any(gcd(n, p) != 1 for p in others):
         raise NotCoprimeError(f"degree {n} shares a factor with {others}")
     cover = seifert.make_tuple(others + (n * fiber,))
-    source = from_seifert(t)
     target = from_seifert(cover)
+    source = from_seifert(t)
     shift = t.product // fiber
-    maps = []
-    for k in range(n):
-        mapping = {z: n * z + k * shift for z in source.positions}
-        maps.append(DeltaMorphism(source, target, mapping))
-    return maps
+    return [DeltaMorphism(source, target, n * source.positions + k * shift)
+            for k in range(n)]
 
 
 # -- the normal-form comparison map ------------------------------------------
@@ -352,17 +307,14 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
         raise NotComparableError(f"{t} is not componentwise <= {t2}")
     if t.is_degenerate or t2.is_degenerate:
         raise DegenerateTupleError("both tuples must have delta sequences")
-    source = from_seifert(t)
     target = from_seifert(t2)
-    n1, n2 = seifert.n_cutoff(t), seifert.n_cutoff(t2)
+    source = from_seifert(t)
     p2 = t2.product
-    mapping = {}
-    for x in source.positive_positions:
+    images = {}
+    for x in source.positive_positions.tolist():
         nf = seifert.membership(t, x)
-        image = p2 * nf.k + sum(xi * (p2 // q) for xi, q in zip(nf.x, qs))
-        mapping[x] = image
-        mapping[n1 - x] = n2 - image
-    return DeltaMorphism(source, target, mapping)
+        images[x] = p2 * nf.k + sum(xi * (p2 // q) for xi, q in zip(nf.x, qs))
+    return _reflected(source, target, images, seifert.n_cutoff(t), seifert.n_cutoff(t2))
 
 
 # -- two-generator numerical semigroups (the pinch engine) -------------------
@@ -445,6 +397,18 @@ class TwoGenSemigroup:
 # -- rigid maps and the pinch morphism ---------------------------------------
 
 
+def _reflected(source: DeltaSequence, target: DeltaSequence, partial: dict,
+               n_source: int, n_target: int) -> DeltaMorphism:
+    """x -> partial[x] on the given positions, n_source - x -> n_target - partial[x]."""
+    xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
+    ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
+    keys = np.concatenate([xs, n_source - xs])
+    order = np.argsort(keys, kind="stable")
+    if not np.array_equal(keys[order], source.positions):
+        raise ValueError("the reflected map does not cover the source positions exactly")
+    return DeltaMorphism(source, target, np.concatenate([ys, n_target - ys])[order])
+
+
 def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
                  n_source: int, n_target: int) -> DeltaMorphism:
     """Extend an injection on the positive positions by reflection.
@@ -453,8 +417,7 @@ def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
     point by more than half the cutoff difference; the reflected extension
     is then a one-to-one semi-immersion.
     """
-    pos = source.positive_positions
-    if set(partial.keys()) != set(pos):
+    if set(partial.keys()) != set(source.positive_positions.tolist()):
         raise NotRigidError("partial map must be defined exactly on the positive positions")
     if len(set(partial.values())) != len(partial):
         raise NotRigidError("partial map is not injective")
@@ -463,10 +426,7 @@ def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
             raise NotRigidError(f"image decreases at {x} -> {y}")
         if 2 * (y - x) > n_target - n_source:
             raise NotRigidError(f"shift at {x} -> {y} exceeds half the cutoff difference")
-    mapping = dict(partial)
-    for x, y in partial.items():
-        mapping[n_source - x] = n_target - y
-    return DeltaMorphism(source, target, mapping)
+    return _reflected(source, target, partial, n_source, n_target)
 
 
 def _fiber_projection_data(base, full_product: int):
@@ -503,8 +463,8 @@ def pinch_semi_immersion(base, q: int, r: int):
     if t_source.is_degenerate or t_target.is_degenerate:
         raise DegenerateTupleError("pinch needs non-degenerate source and target")
 
-    source = from_seifert(t_source)
     target = from_seifert(t_target)
+    source = from_seifert(t_source)
     n1, n2 = seifert.n_cutoff(t_source), seifert.n_cutoff(t_target)
     base_product = 1
     for p in base:
@@ -514,7 +474,7 @@ def pinch_semi_immersion(base, q: int, r: int):
     proj_data = _fiber_projection_data(base, t_source.product)
     partial = {}
     projections = {}
-    for x in source.positive_positions:
+    for x in source.positive_positions.tolist():
         z = _fiber_projection(x, proj_data, base_product)
         projections[x] = z
         partial[x] = x + base_product * (semi.psi(z) - z)
@@ -522,7 +482,7 @@ def pinch_semi_immersion(base, q: int, r: int):
 
     theta = {}
     table = morphism.defect_table()
-    for b in table.bad:
+    for b in table.bad.tolist():
         if b in projections:  # positive side
             z = projections[b]
             theta[b] = b + base_product * (semi.theta(z) - z)

@@ -12,6 +12,8 @@ rank 1, so the inequalities hold trivially and no witness is built.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import morphism, seifert
 from .errors import IllegalMoveError, NotComparableError
 from .arith import gcd
@@ -65,18 +67,14 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     report.inputs["fiber"] = fiber
     others = tuple(p for p in t.multiplicities if p != fiber)
     cover = seifert.make_tuple(others + (n * fiber,))
+    maps = morphism.branched_cover_embeddings(t, n, fiber)
     red, _ = _ranks(t, report, "source")
     red_cover, _ = _ranks(cover, report, "cover")
-    maps = morphism.branched_cover_embeddings(t, n, fiber)
     for k, m in enumerate(maps):
         report.check(f"phi_{k} is an embedding", m.is_embedding())
-        report.check(f"phi_{k} preserves values",
-                     all(m.source.value_at(z) == m.target.value_at(m.image(z))
-                         for z in m.source.positions))
-    images = [set(m.mapping.values()) for m in maps]
-    disjoint = all(not (images[i] & images[j])
-                   for i in range(len(images)) for j in range(i + 1, len(images)))
-    report.check("images pairwise disjoint", disjoint)
+        report.check(f"phi_{k} preserves values", m.preserves_values())
+    images = np.sort(np.concatenate([m.index for m in maps]))
+    report.check("images pairwise disjoint", np.all(images[1:] != images[:-1]))
     report.check(f"{n} * rank(source) <= rank(cover)", n * red <= red_cover)
     return report
 
@@ -90,9 +88,9 @@ def verify_branched_hat(t: seifert.SeifertTuple, n: int) -> VerificationReport:
         report.check("degenerate source: inequality is trivial", True)
         return report
     cover = seifert.make_tuple(t.multiplicities[:-1] + (n * t.multiplicities[-1],))
+    m = morphism.branched_cover_embeddings(t, n)[0]
     _, hat = _ranks(t, report, "source")
     _, hat_cover = _ranks(cover, report, "cover")
-    m = morphism.branched_cover_embeddings(t, n)[0]
     report.check("phi_0 is an embedding", m.is_embedding())
     report.check("hat rank(source) <= hat rank(cover)", hat <= hat_cover)
     return report
@@ -106,15 +104,15 @@ def verify_pinch(base, q: int, r: int) -> VerificationReport:
         inputs={"base": list(base_t.multiplicities), "q": q, "r": r})
     source_t = seifert.make_tuple(base_t.multiplicities + (q * r,))
     target_t = seifert.make_tuple(base_t.multiplicities + (q, r))
+    m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
     red_src, _ = _ranks(source_t, report, "pinched")
     red_tgt, _ = _ranks(target_t, report, "unpinched")
-    m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
     report.check("pinch map is a one-to-one semi-immersion",
                  m.is_injective() and m.is_semi_immersion())
     report.check("theta is a control function", morphism.is_control_function(m, theta))
     table = m.defect_table()
     report.check("all defects within one unit",
-                 all(abs(d) <= 1 for d in table.defects.values()))
+                 np.all(np.abs(table.defects) <= 1))
     _, _, fixed = morphism.fix_defects(m, theta)
     report.check("defect repair yields a one-to-one immersion",
                  fixed.is_injective() and fixed.is_immersion())
@@ -133,9 +131,9 @@ def verify_monotone(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -> Verifi
     if t.is_degenerate:
         report.check("degenerate source: inequality is trivial", True)
         return report
+    m = morphism.partial_order_immersion(t, t2)
     red_small, _ = _ranks(t, report, "small")
     red_large, _ = _ranks(t2, report, "large")
-    m = morphism.partial_order_immersion(t, t2)
     report.check("normal-form map is an immersion", m.is_immersion())
     report.check("rank(small) <= rank(large)", red_small <= red_large)
     return report

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from floerrank import botany, cli
+from floerrank import botany, cli, deltaseq, seifert
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,6 +151,31 @@ def test_dense_sequence_refused_under_memory_cap():
         assert proc.returncode == 2 and proc.stdout == "", argv
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: delta sequence of ("), proc.stderr
+
+
+def test_oversize_verifier_input_refused_before_any_work(capsys, monkeypatch):
+    # the cover (2,3,5,7,11,13,323) spans N = 35,431,817: the witness builds
+    # the cover's sequence first and refuses it before any rank walk and
+    # before the source sequence (N = 1,836,383) is built
+    calls = {"walk_statistics": 0, "from_seifert": 0}
+    package = [mod for name, mod in sys.modules.items()
+               if name == "floerrank" or name.startswith("floerrank.")]
+    for name, home in (("walk_statistics", seifert), ("from_seifert", deltaseq)):
+        original = getattr(home, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # every module binding of the function in the package
+        for module in package:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, out, err = run(capsys, "verify", "branched", "2", "3", "5", "7", "11", "13", "17",
+                         "--n", "19")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: delta sequence of ("), err
+    assert calls == {"walk_statistics": 0, "from_seifert": 1}
 
 
 def test_verify_pinch_cli(capsys):

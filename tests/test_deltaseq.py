@@ -1,7 +1,9 @@
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerrank import botany, deltaseq, seifert
 from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
@@ -20,12 +22,12 @@ from walk_oracle import assert_matches_oracle
 
 def test_from_seifert_examples():
     ds = from_seifert(seifert.make_tuple([2, 3, 7]))
-    assert ds.positions == (0, 1) and ds.values == (1, -1)
+    assert ds.positions.tolist() == [0, 1] and ds.values.tolist() == [1, -1]
     ds = from_seifert(seifert.make_tuple([2, 3, 13]))
-    assert ds.positions == (0, 1, 6, 7) and ds.values == (1, -1, 1, -1)
+    assert ds.positions.tolist() == [0, 1, 6, 7] and ds.values.tolist() == [1, -1, 1, -1]
     ds = from_seifert(seifert.make_tuple([2, 3, 35]))
-    assert ds.positions == (0, 5, 6, 11, 12, 17, 18, 23, 24, 29)
-    assert ds.values == (1, -1) * 5
+    assert ds.positions.tolist() == [0, 5, 6, 11, 12, 17, 18, 23, 24, 29]
+    assert ds.values.tolist() == [1, -1] * 5
 
 
 def test_from_seifert_matches_sieve_oracle(rng):
@@ -75,7 +77,7 @@ def test_subsequence():
     ds = from_values([1, -1, 1, -1])
     assert ds.subsequence(ds.positions) == ds
     sub = ds.subsequence({0, 1})
-    assert sub.values == (1, -1)
+    assert sub.values.tolist() == [1, -1]
     with pytest.raises(FirstElementNegativeError):
         ds.subsequence({1})
 
@@ -83,7 +85,7 @@ def test_subsequence():
 def test_complement():
     ds = from_values([1, -1, 1, -1])
     assert ds.complement(set()) == ds
-    assert ds.complement({0, 1}).values == (1, -1)
+    assert ds.complement({0, 1}).values.tolist() == [1, -1]
     # removing both positives leaves only negatives, all trimmed
     assert len(ds.complement({0, 2})) == 0
 
@@ -91,9 +93,9 @@ def test_complement():
 def test_refine():
     ds = DeltaSequence([5], [3])
     out = ds.refine(5, [1, 2])
-    assert out.values == (1, 2) and out.positions[0] == 5
+    assert out.values.tolist() == [1, 2] and out.positions[0] == 0
     out = DeltaSequence([0, 4], [1, -2]).refine(4, [-1, -1])
-    assert out.values == (1, -1, -1)
+    assert out.values.tolist() == [1, -1, -1]
     with pytest.raises(SignMismatchError):
         DeltaSequence([0], [2]).refine(0, [1, -1, 2])
     with pytest.raises(SumMismatchError):
@@ -101,8 +103,8 @@ def test_refine():
 
 
 def test_merge():
-    assert from_values([1, 2]).merge([0, 1]).values == (3,)
-    assert from_values([2, -1, -1, -1]).merge([1, 2, 3]).values == (2, -3)
+    assert from_values([1, 2]).merge([0, 1]).values.tolist() == [3]
+    assert from_values([2, -1, -1, -1]).merge([1, 2, 3]).values.tolist() == [2, -3]
     with pytest.raises(SignMismatchError):
         from_values([1, -1]).merge([0, 1])
     with pytest.raises(NotConsecutiveError):
@@ -186,13 +188,61 @@ def test_json_round_trip():
     data = json.loads(json.dumps(ds.to_json()))
     assert DeltaSequence.from_json(data) == ds
     assert data == {"positions": [0, 1, 6, 7], "values": [1, -1, 1, -1]}
-    refined = ds.refine(6, [1])  # no-op refine keeps integer position
+    refined = ds.refine(6, [1])  # a refinement re-indexes to 0..k-1
+    assert refined.to_json() == {"positions": [0, 1, 2, 3], "values": [1, -1, 1, -1]}
     assert DeltaSequence.from_json(json.loads(json.dumps(refined.to_json()))) == refined
 
 
-def test_json_fraction_positions():
-    ds = from_values([2, -1]).refine(0, [1, 1])
-    data = json.loads(json.dumps(ds.to_json()))
-    back = DeltaSequence.from_json(data)
-    assert back == ds
-    assert any(isinstance(p, str) for p in data["positions"])
+def test_arrays_are_read_only_int64():
+    ds = from_seifert(seifert.make_tuple([2, 3, 13]))
+    for arr in (ds.positions, ds.values):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    with pytest.raises(ValueError):
+        ds.values[0] = 2
+
+
+def test_restrictions_and_merges_keep_labels():
+    ds = DeltaSequence([3, 5, 8, 13], [2, 1, -1, -2])
+    assert ds.subsequence([5, 8]).positions.tolist() == [5, 8]
+    assert ds.complement([3]).positions.tolist() == [5, 8, 13]
+    assert ds.complement([3, 5]).positions.tolist() == []
+    merged = ds.merge([3, 5])
+    assert merged.positions.tolist() == [3, 8, 13] and merged.values.tolist() == [3, -1, -2]
+    assert ds.value_at(8) == -1
+    with pytest.raises(ValueError, match="not positions"):
+        ds.value_at(4)
+    with pytest.raises(ValueError, match="not positions"):
+        ds.refine_many({4: [1]})
+
+
+@st.composite
+def refine_merge_chains(draw):
+    """A random sequence and a chain of refinements and merges on it."""
+    ds = from_values(draw(st.lists(st.integers(1, 6) | st.integers(-6, -1), min_size=1,
+                                   max_size=10).map(lambda vs: [abs(vs[0])] + vs[1:])))
+    start = ds
+    for _ in range(draw(st.integers(1, 8))):
+        big = np.flatnonzero(np.abs(ds.values) >= 2)
+        if big.size and draw(st.booleans()):
+            i = int(big[draw(st.integers(0, big.size - 1))])
+            v = int(ds.values[i])
+            cut = draw(st.integers(1, abs(v) - 1)) * (1 if v > 0 else -1)
+            ds = ds.refine(int(ds.positions[i]), [cut, v - cut])
+            assert ds.positions.tolist() == list(range(len(ds)))
+        else:
+            i = draw(st.integers(0, len(ds) - 1))
+            j = i + 1
+            while j < len(ds) and (ds.values[j] > 0) == (ds.values[i] > 0) \
+                    and draw(st.booleans()):
+                j += 1
+            ds = ds.merge(ds.positions[i:j])
+    return start, ds
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(refine_merge_chains())
+def test_refine_merge_chains_keep_ranks(chain):
+    start, end = chain
+    assert (start.rank().rank_red, start.rank().rank_hat) == \
+        (end.rank().rank_red, end.rank().rank_hat)
+    assert start.canonical_values() == end.canonical_values()

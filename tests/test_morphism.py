@@ -4,7 +4,7 @@ import random
 import pytest
 
 from floerrank import morphism, seifert
-from floerrank.deltaseq import from_seifert, from_values
+from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
 from floerrank.errors import (
     DegenerateTupleError,
     NotBadError,
@@ -32,7 +32,7 @@ from conftest import random_tuple
 
 
 def identity_morphism(ds):
-    return DeltaMorphism(ds, ds, {p: p for p in ds.positions})
+    return DeltaMorphism(ds, ds, ds.positions)
 
 
 def test_identity_is_everything():
@@ -43,40 +43,51 @@ def test_identity_is_everything():
     assert m.is_right_veering()
 
 
+def test_mapping_is_a_position_sequence_stored_as_target_indices():
+    src = from_values([1, -1])
+    tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
+    m = DeltaMorphism(src, tgt, [9, 12])
+    assert m.index.tolist() == [1, 2] and m.mapping.tolist() == [9, 12]
+    assert m.image(1) == 12 and not m.index.flags.writeable
+    with pytest.raises(ValueError, match="not positions"):
+        DeltaMorphism(src, tgt, [9, 10])
+    with pytest.raises(ValueError, match="3 images for 2 source positions"):
+        DeltaMorphism(src, tgt, [4, 9, 12])
+
+
 def test_constant_map_not_morphism():
     ds = from_values([1, -1])
-    m = DeltaMorphism(ds, ds, {0: 0, 1: 0})
+    m = DeltaMorphism(ds, ds, [0, 0])
     assert not m.is_morphism()
 
 
 def test_value_change_breaks_isomorphism():
     src = from_values([1, -1])
     tgt = from_values([2, -1])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 1})
+    m = DeltaMorphism(src, tgt, [0, 1])
     assert m.is_morphism() and not m.is_isomorphism()
 
 
 def test_embedding_capacity():
     src = from_values([1, 1, -2])
     tgt = from_values([1, 1, -2])
-    fold = DeltaMorphism(src, tgt, {0: 0, 1: 0, 2: 2})
+    fold = DeltaMorphism(src, tgt, [0, 0, 2])
     assert fold.is_morphism() and not fold.is_embedding()  # 1+1 > capacity 1
-    roomy = DeltaMorphism(src, from_values([2, 1, -2]), {0: 0, 1: 0, 2: 2})
+    roomy = DeltaMorphism(src, from_values([2, 1, -2]), [0, 0, 2])
     assert roomy.is_embedding()
 
 
 def test_branched_cover_embedding_is_embedding():
     m = branched_cover_embeddings(seifert.make_tuple([2, 3, 7]), 5)[0]
     assert m.is_embedding()
-    assert all(m.source.value_at(z) == m.target.value_at(m.image(z))
-               for z in m.source.positions)
+    assert m.preserves_values()
 
 
 def test_semi_immersion_vs_immersion():
     # an order-preserving sign-preserving map with a capacity overload
     src = from_values([2, -1])
     tgt = from_values([1, -1])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 1})
+    m = DeltaMorphism(src, tgt, [0, 1])
     assert m.is_semi_immersion() and not m.is_immersion()
 
 
@@ -84,26 +95,26 @@ def test_right_veering_swap():
     # adjacent (-,+) pair swapped to (+,-) with values carried
     src = from_values([1, -2, 3, -1])
     tgt = from_values([1, 3, -2, -1])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 2, 2: 1, 3: 3})
+    m = DeltaMorphism(src, tgt, [0, 2, 1, 3])
     assert m.is_right_veering()
     assert not m.is_isomorphism()
-    changed = DeltaMorphism(src, from_values([1, 3, -3, -1]), {0: 0, 1: 2, 2: 1, 3: 3})
+    changed = DeltaMorphism(src, from_values([1, 3, -3, -1]), [0, 2, 1, 3])
     assert not changed.is_right_veering()
 
 
 def test_defect_table():
     ds = from_values([1, -2, 3, -2])
     table = identity_morphism(ds).defect_table()
-    assert not table.bad and not table.good
+    assert not table.bad.size and not table.good.size
     assert set(table.neutral) == set(ds.positions)
 
     src = from_values([2, -1])
     tgt = from_values([1, -1])
-    table = DeltaMorphism(src, tgt, {0: 0, 1: 1}).defect_table()
-    assert table.bad == (0,) and table.defects[0] == 1
+    table = DeltaMorphism(src, tgt, [0, 1]).defect_table()
+    assert table.bad.tolist() == [0] and table.defects.tolist() == [1, 0]
 
     not_semi = DeltaMorphism(from_values([1, -1]), from_values([1, -1, 1]),
-                             {0: 2, 1: 1})
+                             [2, 1])
     with pytest.raises(NotSemiImmersionError):
         not_semi.defect_table()
 
@@ -115,12 +126,12 @@ def test_control_function_checks():
     # bad point at 1 controlled by the good point at 0 (positive side)
     src = from_values([1, 2, -3])
     tgt = from_values([2, 1, -3])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 1, 2: 2})
+    m = DeltaMorphism(src, tgt, [0, 1, 2])
     assert is_control_function(m, {1: 0})
     # wrong direction: positive control must sit left of its bad point
     src2 = from_values([2, 1, -3])
     tgt2 = from_values([1, 2, -3])
-    m2 = DeltaMorphism(src2, tgt2, {0: 0, 1: 1, 2: 2})
+    m2 = DeltaMorphism(src2, tgt2, [0, 1, 2])
     assert not is_control_function(m2, {0: 1})
 
 
@@ -133,7 +144,7 @@ def test_embed_to_subsequence_identity():
 def test_embed_to_subsequence_fold():
     src = from_values([2, 1, -3])
     tgt = from_values([3, 1, -3])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 0, 2: 2})
+    m = DeltaMorphism(src, tgt, [0, 0, 2])
     s, t, iso = embed_to_subsequence(m)
     assert iso.is_isomorphism_onto_image()
     assert s.rank().rank_red == src.rank().rank_red
@@ -144,7 +155,7 @@ def test_embed_to_subsequence_fold():
 def test_embed_to_subsequence_scrambled():
     src = from_values([1, 2, -3])
     tgt = from_values([2, 1, -3])
-    m = DeltaMorphism(src, tgt, {0: 1, 1: 0, 2: 2})
+    m = DeltaMorphism(src, tgt, [1, 0, 2])
     assert m.is_embedding()
     s, t, iso = embed_to_subsequence(m)
     assert iso.is_isomorphism_onto_image()
@@ -156,7 +167,7 @@ def test_embed_to_subsequence_rejects_non_embedding():
     src = from_values([2, -1])
     tgt = from_values([1, -1])
     with pytest.raises(NotEmbeddingError):
-        embed_to_subsequence(DeltaMorphism(src, tgt, {0: 0, 1: 1}))
+        embed_to_subsequence(DeltaMorphism(src, tgt, [0, 1]))
 
 
 def random_embedding(rng):
@@ -169,15 +180,14 @@ def random_embedding(rng):
             runs[-1].append(p)
         else:
             runs.append([p])
-    tgt_values, mapping = [], {}
+    tgt_values, mapping = [], []
     for run in runs:
         sign = 1 if src.value_at(run[0]) > 0 else -1
         total = sum(abs(src.value_at(p)) for p in run)
         raw = [rng.randrange(len(run)) for _ in run]
         used = sorted(set(raw))
         base = len(tgt_values)
-        for p, f in zip(run, raw):
-            mapping[p] = base + used.index(f)
+        mapping += [base + used.index(f) for f in raw]
         tgt_values.extend(sign * (total + rng.randint(0, 2)) for _ in used)
         if rng.random() < 0.4:
             tgt_values.append(sign * rng.randint(1, 3))  # decoy outside image
@@ -195,7 +205,7 @@ def test_embed_to_subsequence_random_round_trip(rng):
         assert (t2.rank().rank_red, t2.rank().rank_hat) == \
             (m.target.rank().rank_red, m.target.rank().rank_hat)
         # the upgraded map certifies both subsequence inequalities
-        comp = t2.complement(set(iso.mapping.values()))
+        comp = t2.complement(iso.mapping)
         assert s2.rank().rank_red + comp.rank().rank_red <= t2.rank().rank_red
         assert s2.rank().rank_hat <= t2.rank().rank_hat
 
@@ -209,7 +219,7 @@ def test_fix_defects_no_bad_points():
 def test_fix_defects_single_pair():
     src = from_values([1, 2, -3])
     tgt = from_values([2, 1, -3])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 1, 2: 2})
+    m = DeltaMorphism(src, tgt, [0, 1, 2])
     s, t, fixed = fix_defects(m, {1: 0})
     assert fixed.is_injective() and fixed.is_immersion()
     assert len(s) == len(src) + 1 and len(t) == len(tgt) + 1
@@ -219,7 +229,7 @@ def test_fix_defects_single_pair():
 def test_fix_defects_needs_control():
     src = from_values([2, 1, -3])
     tgt = from_values([1, 2, -3])
-    m = DeltaMorphism(src, tgt, {0: 0, 1: 1, 2: 2})
+    m = DeltaMorphism(src, tgt, [0, 1, 2])
     with pytest.raises(NotControlledError):
         fix_defects(m, {0: 1})
 
@@ -247,7 +257,7 @@ def test_branched_cover_disjoint_images(rng):
         n = rng.choice(degrees)
         maps = branched_cover_embeddings(t, n)
         assert all(m.is_embedding() for m in maps)
-        images = [set(m.mapping.values()) for m in maps]
+        images = [set(m.mapping.tolist()) for m in maps]
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
                 assert not (images[i] & images[j])
@@ -340,7 +350,7 @@ def test_pinch_with_bad_points():
     assert 2730 in table.bad
     assert m.is_semi_immersion() and not m.is_immersion()
     assert is_control_function(m, theta)
-    assert all(abs(d) <= 1 for d in table.defects.values())
+    assert all(abs(d) <= 1 for d in table.defects.tolist())
     s2, t2, fixed = fix_defects(m, theta)
     assert fixed.is_injective() and fixed.is_immersion()
     # the repair refines but never changes either rank
