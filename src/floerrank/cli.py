@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands:
-    rank    P1 P2 ...            rank invariants of one tuple
+    rank    P1 P2 ...            rank invariants of one tuple (--stats:
+                                 walk counts as JSON on stderr)
     root    P1 P2 ... | --tau    render the graded root (ascii/dot/svg)
     botany  N | --table NMAX     tuples of a given reduced rank (--stats:
                                  scan counts as JSON on stderr)
@@ -37,9 +38,15 @@ def _split_on_dashes(tokens):
     return tokens, []
 
 
+# the walk's counts rank --stats writes, in this order (see walk_statistics)
+WALK_COUNTS = ("delta_entries", "chunks", "fibers_tabulated", "fibers_divided",
+               "table_entries")
+
+
 def cmd_rank(args) -> int:
     t = _tuple_from(args.multiplicities)
-    stats = seifert.walk_statistics(t)
+    counts = Counter() if args.stats else None
+    stats = seifert.walk_statistics(t, counts)
     n_cut = seifert.n_cutoff(t) if t.fiber_count >= 1 else None
     record = {
         "tuple": list(t.multiplicities),
@@ -59,6 +66,8 @@ def cmd_rank(args) -> int:
         print(f"tuple      {t}")
         for key in ("rank_red", "rank_hat", "n_cutoff", "kappa", "min_tau", "c"):
             print(f"{key:<10} {record[key]}")
+    if counts is not None:
+        print(json.dumps({key: counts[key] for key in WALK_COUNTS}), file=sys.stderr)
     return 0
 
 
@@ -222,6 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("multiplicities", nargs="+", type=int)
     p_rank.add_argument("--json", action="store_true")
     p_rank.add_argument("--csv", action="store_true")
+    p_rank.add_argument("--stats", action="store_true",
+                        help="write the walk's delta entries, chunks, tabulated "
+                             "and divided fibers and table entries as one JSON "
+                             "line to stderr")
     p_rank.set_defaults(func=cmd_rank)
 
     p_root = sub.add_parser("root", help="render the graded root")

@@ -32,9 +32,11 @@ from .errors import (
 )
 
 # Seifert delta sequences over a longer [0, N] are refused rather than built.
-# from_seifert peaks at about 32 bytes per entry of [0, N] (the int64
-# temporaries of delta_array, then the dense delta array beside the nonzeros'
-# positions and values, traced by tracemalloc): about 130 MB here.
+# from_seifert peaks at about 24 bytes per entry of [0, N] (the nonzeros'
+# positions and values, about 73% of entries, beside the sequence's own
+# copies of them; delta_array fills its one dense array chunk by chunk, and
+# it is dropped first; traced by tracemalloc on (2,3,5,7,11,13,19)): about
+# 100 MB here.
 MAX_CUTOFF = 4_000_000
 
 
@@ -198,4 +200,6 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
                          f"the N = {MAX_CUTOFF} a sequence may span")
     d = seifert.delta_array(t, N)
     positions = np.flatnonzero(d)
-    return DeltaSequence(positions, d[positions])
+    values = d[positions]
+    del d   # the dense array is not alive beside the sequence's own copies
+    return DeltaSequence(positions, values)

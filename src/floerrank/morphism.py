@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seifert
-from .arith import gcd, mod_inverse, pairwise_coprime
+from .arith import check_int64, gcd, mod_inverse, pairwise_coprime
 from .deltaseq import DeltaSequence, from_seifert
 from .errors import (
     DegenerateTupleError,
@@ -309,12 +309,20 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
         raise DegenerateTupleError("both tuples must have delta sequences")
     target = from_seifert(t2)
     source = from_seifert(t)
-    p2 = t2.product
-    images = {}
-    for x in source.positive_positions.tolist():
-        nf = seifert.membership(t, x)
-        images[x] = p2 * nf.k + sum(xi * (p2 // q) for xi, q in zip(nf.x, qs))
-    return _reflected(source, target, images, seifert.n_cutoff(t), seifert.n_cutoff(t2))
+    n1, p1, p2 = seifert.n_cutoff(t), t.product, t2.product
+    check_int64((n1 + 1) * p1)
+    # the normal forms of all positives at once, as seifert.membership gives them
+    xs = source.positive_positions
+    k = xs.copy()
+    images = np.zeros_like(xs)
+    for (p, gen, inv), q in zip(_fiber_projection_data(ps, p1), qs):
+        coord = xs * inv % p
+        k -= coord * gen
+        images += coord * (p2 // q)
+    k, rem = np.divmod(k, p1)
+    assert not rem.any()
+    images += p2 * k
+    return _reflected(source, target, xs, images, n1, seifert.n_cutoff(t2))
 
 
 # -- two-generator numerical semigroups (the pinch engine) -------------------
@@ -397,11 +405,9 @@ class TwoGenSemigroup:
 # -- rigid maps and the pinch morphism ---------------------------------------
 
 
-def _reflected(source: DeltaSequence, target: DeltaSequence, partial: dict,
-               n_source: int, n_target: int) -> DeltaMorphism:
-    """x -> partial[x] on the given positions, n_source - x -> n_target - partial[x]."""
-    xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
-    ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
+def _reflected(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
+               ys: np.ndarray, n_source: int, n_target: int) -> DeltaMorphism:
+    """xs -> ys elementwise, n_source - xs -> n_target - ys (int64 arrays)."""
     keys = np.concatenate([xs, n_source - xs])
     order = np.argsort(keys, kind="stable")
     if not np.array_equal(keys[order], source.positions):
@@ -426,7 +432,9 @@ def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
             raise NotRigidError(f"image decreases at {x} -> {y}")
         if 2 * (y - x) > n_target - n_source:
             raise NotRigidError(f"shift at {x} -> {y} exceeds half the cutoff difference")
-    return _reflected(source, target, partial, n_source, n_target)
+    xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
+    ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
+    return _reflected(source, target, xs, ys, n_source, n_target)
 
 
 def _fiber_projection_data(base, full_product: int):

@@ -22,8 +22,19 @@ and the sign-change count off the tau walk (the formula view; the graded
 root's extrema give the same numbers and are a test oracle).  By the
 antisymmetry it walks only n < N/2, and it evaluates delta there in chunks
 of fixed size, so its memory stays flat as N grows.
+
+Each ceiling term is quasi-periodic, ceil((n + p) p'/p) = ceil(n p'/p) + p',
+so a group of fibers with period Q (the product of its multiplicities)
+repeats its ceiling sum, shifted by a constant, every Q values.  The chunked
+evaluator behind walk_statistics and delta_array groups the fibers
+greedily in ascending order while Q stays at most _PERIOD, and tabulates a
+group once over [0, Q + _CHUNK) only when the walk revisits its period
+(Q + _CHUNK < the walk's length); a chunk then reads one slice per table.
+The other fibers are divided out on every chunk by the formula the tables
+are built with, so a walk of one chunk does the work it always did.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -158,25 +169,103 @@ def _check_delta_range(t: SeifertTuple, inv: NormalizedInvariants, upto: int):
     check_int64(4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)))
 
 
-def _delta_range(inv: NormalizedInvariants, start: int, stop: int) -> np.ndarray:
-    """delta(n) for start <= n < stop as int64; the caller guards the range."""
-    n = np.arange(start, stop, dtype=np.int64)
-    acc = n * abs(inv.e0)
-    acc += 1
-    term = np.empty_like(n)
-    for pp, p in inv.pairs:
+# delta values a walk evaluates at a time; a few int64 arrays of this
+# length are alive at once, whatever N is
+_CHUNK = 1 << 14
+# largest fiber-group period tabulated: a table holds at most
+# _PERIOD + _CHUNK int64 values, about 0.6 MB
+_PERIOD = 1 << 16
+
+
+def _subtract_ceilings(acc: np.ndarray, n: np.ndarray, pairs, term: np.ndarray):
+    """acc -= the sum of ceil(n p'/p) over the (p', p) pairs, in place; term is scratch."""
+    for pp, p in pairs:
         np.multiply(n, pp, out=term)
         term += p - 1
         term //= p
         acc -= term
-    return acc
+
+
+def _fiber_groups(pairs) -> list:
+    """(period, pairs) per group: the (p', p) pairs, in ascending p, cut
+    greedily into groups whose period (product of p) stays at most
+    _PERIOD; a fiber above _PERIOD is a group alone."""
+    groups = []
+    for pp, p in pairs:
+        if groups and groups[-1][0] * p <= _PERIOD:
+            period, group = groups[-1]
+            groups[-1] = (period * p, group + [(pp, p)])
+        else:
+            groups.append((p, [(pp, p)]))
+    return groups
+
+
+def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None, counts=None):
+    """Yield delta(n) for 0 <= n < stop in consecutive int64 chunks of at
+    most _CHUNK values; the caller guards the range.
+
+    The chunks are views of out (length stop) when it is given, else of
+    one buffer reused from chunk to chunk, so only the last chunk yielded
+    is valid.  A fiber group G of period Q = prod p_i has
+    F_G(n + Q) = F_G(n) + A_G, with F_G(n) the sum of its ceil(n p_i'/p_i)
+    and A_G = sum (Q/p_i) p_i'.  When the walk revisits that period
+    (Q + _CHUNK < stop), -F_G is tabulated once over [0, Q + _CHUNK), and a
+    chunk at s reads the slice at s mod Q, less (s // Q) A_G.  Every other
+    fiber is divided out on each chunk, by the formula the tables are
+    built with.  counts, when given, receives the walk's counts (see
+    walk_statistics).
+    """
+    tables, divided = [], list(inv.pairs)
+    if stop > _CHUNK + 2:       # else the walk revisits no period, as each is >= 2
+        divided = []
+        for period, group in _fiber_groups(inv.pairs):
+            if period <= _PERIOD and period + _CHUNK < stop:
+                span = np.arange(period + _CHUNK, dtype=np.int64)
+                table = np.zeros_like(span)
+                _subtract_ceilings(table, span, group, np.empty_like(span))
+                tables.append((period, sum(period // p * pp for pp, p in group), table))
+            else:
+                divided.extend(group)
+    if counts is not None:
+        counts["delta_entries"] += stop
+        counts["chunks"] += -(-stop // _CHUNK)
+        counts["fibers_tabulated"] += len(inv.pairs) - len(divided)
+        counts["fibers_divided"] += len(divided)
+        counts["table_entries"] += sum(table.size for _, _, table in tables)
+    e = abs(inv.e0)
+    n = np.arange(min(_CHUNK, stop), dtype=np.int64)    # the chunk's n, advanced in place
+    term = np.empty_like(n)
+    buffer = np.empty_like(n) if out is None else None
+    for start in range(0, stop, _CHUNK):
+        if start:
+            n += _CHUNK
+        m = n.size
+        if start + m > stop:                # the last chunk is shorter
+            m = stop - start
+            n, term = n[:m], term[:m]
+            if buffer is not None:
+                buffer = buffer[:m]
+        d = buffer if out is None else out[start:start + m]
+        np.multiply(n, e, d)
+        shift = 1
+        for q, a, _ in tables:
+            shift -= start // q * a
+        d += shift
+        _subtract_ceilings(d, n, divided, term)
+        for q, _, table in tables:
+            r = start % q
+            d += table[r:r + m]
+        yield d
 
 
 def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
     """delta(n) for n = 0..upto as an int64 array (bulk form of delta_at)."""
     inv = normalized_invariants(t)
     _check_delta_range(t, inv, upto)
-    return _delta_range(inv, 0, upto + 1)
+    out = np.empty(upto + 1, dtype=np.int64)
+    for _ in _delta_chunks(inv, upto + 1, out):
+        pass
+    return out
 
 
 def membership(t: SeifertTuple, n: int) -> NormalForm:
@@ -258,11 +347,6 @@ def tau_sequence(t: SeifertTuple) -> list:
     return [int(v) for v in tau]
 
 
-# delta values walk_statistics evaluates at a time; a few int64 arrays of
-# this length are alive at once, whatever N is
-_CHUNK = 1 << 14
-
-
 @dataclass(frozen=True)
 class WalkStatistics:
     """Rank data read off the tau walk of a tuple.
@@ -285,7 +369,7 @@ class WalkStatistics:
         return 2 * self.c + 1
 
 
-def walk_statistics(t: SeifertTuple) -> WalkStatistics:
+def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
     """Rank data of the tau walk over [0, N]; degenerate tuples give rank 0/1.
 
     Only the half n < N/2 is walked.  delta(N - n) = -delta(n) gives
@@ -296,17 +380,21 @@ def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     is negative, and the final descent adds one: c = 2 c_half + [last < 0]
     + 1.  delta is evaluated _CHUNK values at a time, carrying tau, its
     minimum, the change count and the last nonzero sign from chunk to
-    chunk, so memory is flat in N.
+    chunk, so memory is flat in N.  A fiber group whose period the half
+    walks past more than once is read from a table of its period (see
+    _delta_chunks) instead of being divided out on every chunk; a walk of
+    one chunk builds no table.
+
+    counts, when given, receives delta_entries (the half's length),
+    chunks, fibers_tabulated, fibers_divided and table_entries.
     """
     if t.is_degenerate:
         return WalkStatistics(kappa=0, min_tau=0, c=0)
     inv = normalized_invariants(t)
     N = n_cutoff(t)
     _check_delta_range(t, inv, N)
-    half = (N + 1) // 2
     kappa = tau = min_tau = changes = last = 0
-    for start in range(0, half, _CHUNK):
-        d = _delta_range(inv, start, min(start + _CHUNK, half))
+    for d in _delta_chunks(inv, (N + 1) // 2, counts=counts):
         kappa += int(np.abs(d).sum())
         walk = np.cumsum(d)
         min_tau = min(min_tau, tau + int(walk.min()))

@@ -13,6 +13,8 @@ from floerrank import seifert
 from floerrank.deltaseq import DeltaSequence
 from floerrank.errors import DegenerateTupleError
 
+from walk_oracle import dense_delta
+
 
 def sieve_from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     if t.is_degenerate:
@@ -23,7 +25,7 @@ def sieve_from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     q_set = {N - x for x in s_set}
     assert not (s_set & q_set)
     positions = np.array(sorted(s_set | q_set), dtype=np.int64)
-    deltas = seifert.delta_array(t, N)
+    deltas = dense_delta(t, N)
     values = deltas[positions]
     assert bool(((values > 0) == np.isin(positions, members)).all())
     return DeltaSequence(positions.tolist(), values.tolist())

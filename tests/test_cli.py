@@ -135,6 +135,27 @@ def test_botany_stats_leaves_stdout_unchanged(capsys):
         assert stats["rank_evals"] > 0 and set(stats["fibers"]) >= {"3"}, argv
 
 
+def test_rank_stats_leaves_stdout_unchanged(capsys):
+    # (fibers tabulated, fibers divided) of each walk
+    cases = {("2", "3", "7"): (0, 3), ("2", "3", "5", "344827", "--csv"): (3, 1),
+             ("2", "3", "5", "7", "11", "13", "17", "--json"): (7, 0),
+             ("2", "3", "5"): (0, 0)}
+    for argv, split in cases.items():
+        plain = run(capsys, "rank", *argv)
+        code, out, err = run(capsys, "rank", *argv, "--stats")
+        assert plain == (0, out, "") and code == 0, argv
+        assert len(err.splitlines()) == 1, argv
+        stats = json.loads(err)
+        assert list(stats) == ["delta_entries", "chunks", "fibers_tabulated",
+                               "fibers_divided", "table_entries"], argv
+        assert (stats["fibers_tabulated"], stats["fibers_divided"]) == split, argv
+        t = seifert.make_tuple([int(a) for a in argv if a.isdigit()])
+        half = (seifert.n_cutoff(t) + 1) // 2 if split != (0, 0) else 0
+        assert stats["delta_entries"] == half, argv
+        assert stats["chunks"] == -(-half // seifert._CHUNK), argv
+        assert (stats["table_entries"] > 0) == (split[0] > 0), argv
+
+
 def test_dense_sequence_refused_under_memory_cap():
     # N = 44,080,457 and 35,431,817: the sequences would need gigabytes, so
     # both commands refuse before allocating, even under a 1.5 GB cap

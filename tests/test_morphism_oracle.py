@@ -90,6 +90,25 @@ def test_criterion_05_families_match_oracle():
     assert checked == {"branched", "comparison", "pinch"}
 
 
+def test_comparison_images_match_scalar_membership():
+    # criterion 5's comparison families: the normal forms computed at once
+    # against seifert.membership, one positive position at a time
+    rng = random.Random(50)
+    _random_branched_cases(rng, 200)
+    positives = 0
+    for t, t2 in _random_comparable_pairs(rng, 200):
+        m = morphism.partial_order_immersion(t, t2)
+        p2 = t2.product
+        want = []
+        for x in m.source.positive_positions.tolist():
+            nf = seifert.membership(t, x)
+            want.append(p2 * nf.k + sum(xi * (p2 // q)
+                                        for xi, q in zip(nf.x, t2.multiplicities)))
+        assert m.mapping[m.source.values > 0].tolist() == want, (t, t2)
+        positives += len(want)
+    assert positives > 10**6
+
+
 # -- the perturbed corpus -----------------------------------------------------
 
 

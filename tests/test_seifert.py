@@ -1,9 +1,13 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from floerrank import seifert
 from floerrank.errors import (
@@ -14,7 +18,7 @@ from floerrank.errors import (
 )
 
 from conftest import random_tuple
-from walk_oracle import assert_matches_oracle
+from walk_oracle import assert_matches_oracle, dense_delta, dense_walk
 
 
 def test_make_tuple_canonicalizes():
@@ -230,10 +234,101 @@ def test_walk_statistics_degenerate():
     assert seifert.rank_pair(seifert.make_tuple([])) == (0, 1)
 
 
-def test_delta_array_overflow_guard():
+def test_delta_array_overflow_guard(monkeypatch):
+    def no_delta(*args):
+        raise AssertionError("delta evaluated before the overflow guard")
+
+    # the guard runs before any table is built or any delta evaluated
+    monkeypatch.setattr(seifert, "_subtract_ceilings", no_delta)
     t = seifert.make_tuple([2, 3, 7])
     with pytest.raises(OverflowError):
         seifert.delta_array(t, 2**62)
     # the chunked walk guards the whole of [0, N], not one chunk at a time
     with pytest.raises(OverflowError):
         seifert.walk_statistics(seifert.make_tuple([2, 3, 10**10 + 1]))
+
+
+def _table_reads(t, stop):
+    """(starts at a multiple of a tabulated period, chunks straddling one)."""
+    inv = seifert.normalized_invariants(t)
+    at_zero = straddles = 0
+    for q, _ in seifert._fiber_groups(inv.pairs):
+        if q > seifert._PERIOD or q + seifert._CHUNK >= stop:
+            continue
+        for start in range(0, stop, seifert._CHUNK):
+            r, m = start % q, min(seifert._CHUNK, stop - start)
+            at_zero += r == 0
+            straddles += r > 0 and r + m > q
+    return at_zero, straddles
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@pytest.mark.parametrize("period", [1, 50, 10**9])
+def test_period_tables_match_division_formula(monkeypatch, period, chunk):
+    # nothing tabulated (period 1), small fibers only (50), all that fits
+    monkeypatch.setattr(seifert, "_PERIOD", period)
+    monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    rng = random.Random(43)
+    at_zero = straddles = tabulated = 0
+    for _ in range(15):
+        t = random_tuple(rng, lengths=(3, 4, 5), max_product=2000)
+        N = seifert.n_cutoff(t)
+        upto = 2 * N + t.product
+        assert np.array_equal(seifert.delta_array(t, upto), dense_delta(t, upto)), t
+        assert_matches_oracle(t)
+        counts = Counter()
+        for d in seifert._delta_chunks(seifert.normalized_invariants(t), upto + 1,
+                                       counts=counts):
+            pass
+        assert counts["fibers_tabulated"] + counts["fibers_divided"] == t.fiber_count
+        tabulated += counts["fibers_tabulated"]
+        reads = _table_reads(t, upto + 1)
+        at_zero, straddles = at_zero + reads[0], straddles + reads[1]
+    if period == 1:
+        assert tabulated == 0
+    else:
+        assert tabulated > 0 and at_zero > 0 and (straddles > 0 or chunk == 1)
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_period_table_threshold(monkeypatch, above):
+    # one group of period Q = P; the walk over half = (N + 1) // 2 tabulates
+    # it only when half > Q + _CHUNK
+    t = seifert.make_tuple([2, 3, 5, 7, 11, 13])
+    N, Q = seifert.n_cutoff(t), t.product
+    half = (N + 1) // 2
+    monkeypatch.setattr(seifert, "_PERIOD", 10**9)
+    monkeypatch.setattr(seifert, "_CHUNK", half - Q - above)
+    counts = Counter()
+    stats = seifert.walk_statistics(t, counts)
+    assert counts["fibers_tabulated"] == (t.fiber_count if above else 0)
+    assert counts["table_entries"] == (half - 1 if above else 0)
+    assert counts["delta_entries"] == half
+    want = dense_walk(t)
+    assert (stats.kappa, stats.min_tau, stats.c) == (want.kappa, want.min_tau, want.c)
+    upto = Q + seifert._CHUNK - 1 + above     # delta_array's walk is over upto + 1
+    assert np.array_equal(seifert.delta_array(t, upto), dense_delta(t, upto))
+
+
+@st.composite
+def coprime_tuples(draw):
+    """3 to 5 pairwise coprime entries below 40, product at most 20,000."""
+    kept = []
+    for m in draw(st.lists(st.integers(2, 40), min_size=3, max_size=8)):
+        if all(math.gcd(m, k) == 1 for k in kept) and math.prod(kept) * m <= 20000:
+            kept.append(m)
+    t = seifert.make_tuple(kept[:5])
+    assume(t.fiber_count >= 3 and not t.is_degenerate)
+    return t
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coprime_tuples(), st.sampled_from([1, 50, 10**9]), st.sampled_from([1, 7, 64]))
+def test_delta_period_and_antisymmetry(t, period, chunk):
+    # delta(n + P) = delta(n) + 1 and delta(N - n) = -delta(n) on [0, N]
+    P, N = t.product, seifert.n_cutoff(t)
+    with patch.object(seifert, "_PERIOD", period), patch.object(seifert, "_CHUNK", chunk):
+        D = seifert.delta_array(t, N + P)
+    assert np.array_equal(D, dense_delta(t, N + P))
+    assert np.array_equal(D[P:], D[:N + 1] + 1)
+    assert np.array_equal(D[N::-1], -D[:N + 1])

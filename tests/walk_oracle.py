@@ -1,9 +1,11 @@
 """The dense two-view tau walk, kept as the oracle for seifert.walk_statistics.
 
-It builds delta over the whole of [0, N] and reads the ranks off it twice:
+It builds delta over the whole of [0, N] by the division formula, one
+ceiling per fiber over the whole range, and reads the ranks off it twice:
 the formula view (kappa, min tau, c) and the graded-root extrema view
 (leaf_count, red_total).  The library keeps only the formula view, walked
-in chunks over half of [0, N]; the tests compare it with both views here.
+in chunks over half of [0, N] with some fibers read from period tables;
+the tests compare it with both views here.
 """
 
 from dataclasses import dataclass
@@ -12,6 +14,17 @@ import numpy as np
 
 from floerrank import seifert
 from floerrank.seifert import SeifertTuple
+
+
+def dense_delta(t: SeifertTuple, upto: int) -> np.ndarray:
+    """delta(n) = 1 + |e0| n - sum ceil(n p_i'/p_i) for n = 0..upto, as int64."""
+    inv = seifert.normalized_invariants(t)
+    assert 4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)) < 2**63
+    n = np.arange(upto + 1, dtype=np.int64)
+    acc = n * abs(inv.e0) + 1
+    for pp, p in inv.pairs:
+        acc -= (n * pp + p - 1) // p
+    return acc
 
 
 @dataclass(frozen=True)
@@ -40,7 +53,7 @@ def dense_walk(t: SeifertTuple) -> DenseWalk:
     """Both rank views of the tau walk; degenerate tuples give rank 0/1."""
     if t.is_degenerate:
         return DenseWalk(kappa=0, min_tau=0, c=0, leaf_count=1, red_total=0)
-    deltas = seifert.delta_array(t, seifert.n_cutoff(t))
+    deltas = dense_delta(t, seifert.n_cutoff(t))
     nz = deltas[deltas != 0]
     assert nz[0] > 0 and nz[-1] < 0
     kappa = int(-nz[nz < 0].sum())
