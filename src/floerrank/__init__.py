@@ -24,17 +24,12 @@ from .morphism import (
 )
 from .seifert import (
     NormalizedInvariants,
-    NormalForm,
     SeifertTuple,
-    delta_at,
     euler_number,
     make_tuple,
-    membership,
     n_cutoff,
     normalized_invariants,
     rank_pair,
-    semigroup_elements_upto,
-    tau_sequence,
     walk_statistics,
 )
 from .verify import (
@@ -50,14 +45,12 @@ from .verify import (
 
 __all__ = [
     "BotanyResult", "DegreeMove", "DeltaMorphism", "DeltaSequence",
-    "GradedRoot", "NormalForm", "NormalizedInvariants", "SeifertTuple",
-    "TwoGenSemigroup", "VerificationReport", "bounds",
-    "branched_cover_embeddings", "delta_at", "embed_to_subsequence",
-    "euler_number", "fix_defects", "from_seifert", "is_control_function",
-    "make_tuple", "membership", "n_cutoff", "normalized_invariants",
+    "GradedRoot", "NormalizedInvariants", "SeifertTuple", "TwoGenSemigroup",
+    "VerificationReport", "bounds", "branched_cover_embeddings",
+    "embed_to_subsequence", "euler_number", "fix_defects", "from_seifert",
+    "is_control_function", "make_tuple", "n_cutoff", "normalized_invariants",
     "partial_order_immersion", "pinch_semi_immersion", "rank_pair",
-    "rigid_extend", "scan_hat_monotonicity", "semigroup_elements_upto",
-    "solve", "table", "tau_sequence", "verify_branched",
-    "verify_branched_hat", "verify_degree_map", "verify_monotone",
-    "verify_pinch", "walk_statistics",
+    "rigid_extend", "scan_hat_monotonicity", "solve", "table",
+    "verify_branched", "verify_branched_hat", "verify_degree_map",
+    "verify_monotone", "verify_pinch", "walk_statistics",
 ]

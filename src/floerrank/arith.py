@@ -23,10 +23,6 @@ def check_int64(value: int) -> int:
     return value
 
 
-def checked_add(a: int, b: int) -> int:
-    return check_int64(a + b)
-
-
 def checked_mul(a: int, b: int) -> int:
     return check_int64(a * b)
 

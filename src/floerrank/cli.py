@@ -14,6 +14,7 @@ Exit status: 0 on success, 1 when a verifier reports a failing verdict,
 """
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -220,7 +221,9 @@ def cmd_scan(args) -> int:
     return 0 if not violations else VERDICT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="floerrank",
         description="Rank invariants of Seifert fibered homology spheres")
@@ -235,14 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the walk's delta entries, chunks, tabulated "
                              "and divided fibers and table entries as one JSON "
                              "line to stderr")
-    p_rank.set_defaults(func=cmd_rank)
 
     p_root = sub.add_parser("root", help="render the graded root")
     p_root.add_argument("multiplicities", nargs="*", type=int)
     p_root.add_argument("--tau", nargs="+", type=int,
                         help="build from an explicit tau sequence")
     p_root.add_argument("--format", choices=("ascii", "dot", "svg"), default="ascii")
-    p_root.set_defaults(func=cmd_root)
 
     p_bot = sub.add_parser("botany", help="tuples of a given reduced rank")
     p_bot.add_argument("n", nargs="?", type=int)
@@ -253,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bot.add_argument("--stats", action="store_true",
                        help="write the scan's rank evaluations, rows and cuts "
                             "as one JSON line to stderr")
-    p_bot.set_defaults(func=cmd_botany)
 
     p_ver = sub.add_parser("verify", help="run an inequality verifier")
     p_ver.add_argument("which", choices=("branched", "pinch", "monotone", "degree"))
@@ -261,22 +261,22 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tuple entries; options --n N (branched) and "
                             "--move pinch:q,r|fiber:n,f|regular:n (degree); "
                             "'--' separates the two tuples for pinch/monotone")
-    p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="hat-rank monotonicity scan")
     p_scan.add_argument("bound", type=int)
     p_scan.add_argument("--length", type=int, default=3)
-    p_scan.set_defaults(func=cmd_scan)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on each call: the cached parser binds no handler
+    handler = {"rank": cmd_rank, "root": cmd_root, "botany": cmd_botany,
+               "verify": cmd_verify, "scan": cmd_scan}[args.command]
     try:
         if args.command == "botany" and args.check_cache:
             return check_cache(args.check_cache)
-        return args.func(args)
+        return handler(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -99,10 +99,6 @@ class DeltaSequence:
     def positive_positions(self) -> np.ndarray:
         return self.positions[self.values > 0]
 
-    @property
-    def negative_positions(self) -> np.ndarray:
-        return self.positions[self.values < 0]
-
     def tau(self) -> list:
         """All k+1 prefix sums of the values; entry 0 is 0."""
         return [0] + np.cumsum(self.values).tolist()

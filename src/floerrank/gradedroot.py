@@ -121,16 +121,6 @@ class GradedRoot:
             counts[h] = running
         return counts
 
-    def leaves_by_grading(self) -> dict:
-        out = {}
-        for v in self.minima:
-            out[v] = out.get(v, 0) + 1
-        return out
-
-    def red_ranks_by_degree(self) -> dict:
-        """Reduced rank per grading: vertex count minus one, zeros omitted."""
-        return {h: n - 1 for h, n in self.vertex_counts().items() if n > 1}
-
     def hat_ranks_by_degree(self) -> dict:
         """Hat rank per grading: leaves plus the cokernel contribution.
 
@@ -186,19 +176,6 @@ class GradedRoot:
     def edges(self) -> list:
         """(child id, parent id) pairs inside the window."""
         return self._build_structure()[1]
-
-    def structural_vertex_counts(self) -> dict:
-        """Per-grading counts recounted from the explicit vertices."""
-        counts = {}
-        for v in self.vertices():
-            counts[v.grading] = counts.get(v.grading, 0) + 1
-        return counts
-
-    def structural_leaves(self) -> list:
-        """Vertices with no child, from the explicit tree."""
-        _, edges = self._build_structure()
-        parents = {parent for _, parent in edges}
-        return [v.vertex_id for v in self.vertices() if v.vertex_id not in parents]
 
     def render(self, format: str = "ascii") -> str:
         if format == "ascii":

@@ -311,7 +311,7 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
     source = from_seifert(t)
     n1, p1, p2 = seifert.n_cutoff(t), t.product, t2.product
     check_int64((n1 + 1) * p1)
-    # the normal forms of all positives at once, as seifert.membership gives them
+    # the normal forms of all positives at once, one array pass per fiber
     xs = source.positive_positions
     k = xs.copy()
     images = np.zeros_like(xs)

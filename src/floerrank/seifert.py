@@ -14,8 +14,9 @@ whose partial sums form the tau sequence that generates the graded root of
 the manifold.  The delta function is controlled by the numerical semigroup
 G generated by P/p_i: on [0, N] (N the cutoff below) delta is >= 1 exactly
 on members of G, is antisymmetric about N/2, and vanishes or is positive
-after N.  Everything here is exact integer arithmetic; numpy is used only
-for bulk evaluation over ranges.
+after N.  Only the formula is evaluated here; G's sieve and normal forms
+are test oracles.  Everything here is exact integer arithmetic; numpy is
+used only for bulk evaluation over ranges.
 
 The ranks come from one kernel, walk_statistics.  It reads kappa, min tau
 and the sign-change count off the tau walk (the formula view; the graded
@@ -42,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import check_int64, checked_product, mod_inverse, pairwise_coprime
-from .errors import DegenerateTupleError, NonPositiveEntryError, NotCoprimeError, NotMemberError
+from .errors import DegenerateTupleError, NonPositiveEntryError, NotCoprimeError
 
 
 @dataclass(frozen=True)
@@ -101,21 +102,6 @@ class NormalizedInvariants:
     pairs: tuple  # of (p_prime, p)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Unique expression n = P*(k + sum x_i/p_i) with 0 <= x_i < p_i.
-
-    k >= 0 exactly when n is a member of the semigroup.
-    """
-
-    k: int
-    x: tuple
-
-    @property
-    def is_member(self) -> bool:
-        return self.k >= 0
-
-
 def _require_fibers(t: SeifertTuple):
     if t.fiber_count < 1:
         raise DegenerateTupleError("operation needs at least one multiplicity")
@@ -151,17 +137,6 @@ def n_cutoff(t: SeifertTuple) -> int:
     _require_fibers(t)
     P = t.product
     return check_int64((t.fiber_count - 2) * P - sum(P // p for p in t.multiplicities))
-
-
-def _ceil_div(a: int, b: int) -> int:
-    # a >= 0, b > 0 in all uses here
-    return (a + b - 1) // b
-
-
-def delta_at(t: SeifertTuple, n: int) -> int:
-    """delta(n) = 1 + |e0|*n - sum ceil(n p_i'/p_i), for n >= 0."""
-    inv = normalized_invariants(t)
-    return 1 + abs(inv.e0) * n - sum(_ceil_div(n * pp, p) for pp, p in inv.pairs)
 
 
 def _check_delta_range(t: SeifertTuple, inv: NormalizedInvariants, upto: int):
@@ -259,92 +234,13 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None, counts=None):
 
 
 def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
-    """delta(n) for n = 0..upto as an int64 array (bulk form of delta_at)."""
+    """delta(n) = 1 + |e0| n - sum ceil(n p_i'/p_i) for n = 0..upto, as int64."""
     inv = normalized_invariants(t)
     _check_delta_range(t, inv, upto)
     out = np.empty(upto + 1, dtype=np.int64)
     for _ in _delta_chunks(inv, upto + 1, out):
         pass
     return out
-
-
-def membership(t: SeifertTuple, n: int) -> NormalForm:
-    """Normal form of n via residues; n is a member iff the result has k >= 0."""
-    _require_fibers(t)
-    P = t.product
-    xs = []
-    for p in t.multiplicities:
-        g = (P // p) % p
-        xs.append((n * mod_inverse(g, p)) % p)
-    k, rem = divmod(n - sum(x * (P // p) for x, p in zip(xs, t.multiplicities)), P)
-    assert rem == 0
-    return NormalForm(k=k, x=tuple(xs))
-
-
-def membership_k_array(t: SeifertTuple, upto: int) -> np.ndarray:
-    """Normal-form k for n = 0..upto; k >= 0 marks semigroup members."""
-    _require_fibers(t)
-    P = t.product
-    check_int64(4 * (upto + 1) * max(t.multiplicities))
-    check_int64(4 * (upto + 1 + t.fiber_count * P))
-    n = np.arange(upto + 1, dtype=np.int64)
-    acc = n.copy()
-    for p in t.multiplicities:
-        g = (P // p) % p
-        inv_g = mod_inverse(g, p)
-        acc -= ((n * inv_g) % p) * (P // p)
-    k, rem = np.divmod(acc, P)
-    assert not rem.any()
-    return k
-
-
-def delta_semigroup(t: SeifertTuple, n: int) -> int:
-    """delta(n) computed from the semigroup normal form: 1 + k."""
-    nf = membership(t, n)
-    if nf.k < 0:
-        raise NotMemberError(f"{n} is not in the semigroup of {t}")
-    return 1 + nf.k
-
-
-def semigroup_sieve(t: SeifertTuple, bound: int) -> np.ndarray:
-    """Boolean membership table for [0, bound], seeded at 0, generators P/p_i.
-
-    Each generator is closed off with a cumulative-or along its residue
-    classes, which is the usual unbounded-coin dynamic program.
-    """
-    _require_fibers(t)
-    P = t.product
-    size = bound + 1
-    dp = np.zeros(size, dtype=bool)
-    dp[0] = True
-    for p in sorted(set(t.multiplicities), reverse=True):
-        g = P // p
-        if g > bound:
-            continue
-        pad = (-size) % g
-        padded = np.concatenate([dp, np.zeros(pad, dtype=bool)])
-        cols = padded.reshape(-1, g)
-        np.logical_or.accumulate(cols, axis=0, out=cols)
-        dp = padded[:size]
-    return dp
-
-
-def semigroup_elements_upto(t: SeifertTuple, bound: int) -> list:
-    """Sorted members of the semigroup in [0, bound]."""
-    if bound < 0:
-        return []
-    return np.flatnonzero(semigroup_sieve(t, bound)).tolist()
-
-
-def tau_sequence(t: SeifertTuple) -> list:
-    """tau(0..N+1) with tau(0) = 0 and tau(n+1) = tau(n) + delta(n)."""
-    _require_fibers(t)
-    N = n_cutoff(t)
-    if N < 0:
-        raise DegenerateTupleError(f"{t} has negative cutoff {N}")
-    deltas = delta_array(t, N)
-    tau = np.concatenate([[0], np.cumsum(deltas)])
-    return [int(v) for v in tau]
 
 
 @dataclass(frozen=True)

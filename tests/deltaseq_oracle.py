@@ -13,6 +13,7 @@ from floerrank import seifert
 from floerrank.deltaseq import DeltaSequence
 from floerrank.errors import DegenerateTupleError
 
+from semigroup_oracle import semigroup_sieve
 from walk_oracle import dense_delta
 
 
@@ -20,7 +21,7 @@ def sieve_from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     if t.is_degenerate:
         raise DegenerateTupleError(f"{t} has no delta sequence (reduced rank 0)")
     N = seifert.n_cutoff(t)
-    members = np.flatnonzero(seifert.semigroup_sieve(t, N))
+    members = np.flatnonzero(semigroup_sieve(t, N))
     s_set = set(members.tolist())
     q_set = {N - x for x in s_set}
     assert not (s_set & q_set)

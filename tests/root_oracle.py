@@ -1,12 +1,15 @@
-"""Oracles for GradedRoot: the union-find tree and per-grading hat ranks.
+"""Oracles for GradedRoot: the union-find tree and per-grading ranks.
 
 Each extremum starts one upward ray; rays i and i+1 are glued at every
 grading >= max(e[i], e[i+1]).  The construction unions those cells and reads
 vertices and edges off the classes.  The library builds the same tree by one
 top-down sweep over the gradings; the tests compare the two.  The per-grading
-hat ranks are likewise summed grading by grading here, where the library
+hat and reduced ranks are likewise summed grading by grading here, and the
+vertex counts and leaves recounted off the explicit tree, where the library
 counts extrema.
 """
+
+from collections import Counter
 
 from floerrank.gradedroot import GradedRoot, Vertex, _paint
 
@@ -102,10 +105,26 @@ def row_scan_ascii(root: GradedRoot) -> str:
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+def structural_vertex_counts(root: GradedRoot) -> dict:
+    """Per-grading counts recounted from the explicit vertices."""
+    return dict(Counter(v.grading for v in root.vertices()))
+
+
+def structural_leaves(root: GradedRoot) -> list:
+    """Vertices with no child, from the explicit tree."""
+    parents = {parent for _, parent in root.edges()}
+    return [v.vertex_id for v in root.vertices() if v.vertex_id not in parents]
+
+
+def red_ranks_by_degree(root: GradedRoot) -> dict:
+    """Reduced rank per grading: vertex count minus one, zeros omitted."""
+    return {h: n - 1 for h, n in root.vertex_counts().items() if n > 1}
+
+
 def per_grading_hat_ranks(root: GradedRoot) -> dict:
     """Hat rank per grading, summed grading by grading over vertex_counts."""
     counts = root.vertex_counts()
-    leaves = root.leaves_by_grading()
+    leaves = Counter(root.minima)
     out = {}
     for h, n in counts.items():
         above = counts.get(h + 1, 1)

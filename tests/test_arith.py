@@ -66,5 +66,5 @@ def test_checked_product_overflow():
     # boundary: INT64_MAX itself is fine
     assert arith.checked_product([2**63 - 1]) == 2**63 - 1
     with pytest.raises(OverflowError):
-        arith.checked_add(2**63 - 1, 1)
+        arith.check_int64(2**63)
     assert arith.checked_mul(-(2**31), 2**31) == -(2**62)

@@ -115,6 +115,17 @@ def test_botany_deterministic(capsys):
     assert first == second
 
 
+def test_parser_reused_across_commands(capsys):
+    # main builds its parser once per process; a reused parser keeps no state
+    # from one command to the next
+    first = run(capsys, "botany", "--table", "6")
+    code, out, _ = run(capsys, "rank", "2", "3", "7", "--json")
+    assert code == 0 and json.loads(out)["rank_red"] == 1
+    assert run(capsys, "botany", "--table", "6") == first
+    assert first[0] == 0 and first[1].startswith("0,S3\n")
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_botany_above_twelve_within_seconds(capsys):
     for argv, lines in ((["botany", "20"], 17), (["botany", "--table", "30"], 373)):
         botany.rank_red_of.cache_clear()

@@ -17,7 +17,7 @@ from floerrank.errors import (
 
 from conftest import random_delta_values, random_tuple
 from deltaseq_oracle import sieve_from_seifert
-from walk_oracle import assert_matches_oracle
+from walk_oracle import assert_matches_oracle, dense_tau
 
 
 def test_from_seifert_examples():
@@ -174,7 +174,7 @@ def test_seifert_rank_matches_full_tau(rng):
     # recompute kappa / min tau from the full walk including delta zeros
     for _ in range(15):
         t = random_tuple(rng, max_product=3 * 10**4)
-        tau = seifert.tau_sequence(t)
+        tau = dense_tau(t)
         deltas = seifert.delta_array(t, seifert.n_cutoff(t))
         kappa = int(-sum(d for d in deltas if d < 0))
         rep = from_seifert(t).rank()

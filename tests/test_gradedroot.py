@@ -9,8 +9,9 @@ from floerrank.deltaseq import from_seifert, from_values
 from floerrank.errors import EmptySequenceError, UnknownFormatError
 from floerrank.gradedroot import GradedRoot, compress_extrema
 
+import root_oracle
 from conftest import random_delta_values, random_tuple
-from root_oracle import oracle_root, per_grading_hat_ranks, row_scan_ascii
+from walk_oracle import dense_tau
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,7 +29,7 @@ def test_from_tau_three_branch_figure():
     root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
     assert root.leaves() == 3
     assert root.vertex_counts() == {-2: 3, -1: 2, 0: 1}
-    assert root.red_ranks_by_degree() == {-2: 2, -1: 1}
+    assert root_oracle.red_ranks_by_degree(root) == {-2: 2, -1: 1}
     assert root.total_red() == 3
     assert sum(root.hat_ranks_by_degree().values()) == 5
     assert root.total_hat() == 5
@@ -38,7 +39,7 @@ def test_from_tau_two_three_seven():
     root = GradedRoot.from_tau([0, 1, 0])
     assert root.leaves() == 2
     assert root.vertex_counts() == {0: 2, 1: 1}
-    assert root.red_ranks_by_degree() == {0: 1}
+    assert root_oracle.red_ranks_by_degree(root) == {0: 1}
     assert root.total_red() == 1 and root.total_hat() == 3
 
 
@@ -46,7 +47,7 @@ def test_bare_ray():
     root = GradedRoot.from_tau([0])
     assert root.leaves() == 1
     assert root.vertex_counts() == {0: 1}
-    assert root.red_ranks_by_degree() == {}
+    assert root_oracle.red_ranks_by_degree(root) == {}
     assert root.hat_ranks_by_degree() == {0: 1}
     assert root.total_red() == 0 and root.total_hat() == 1
 
@@ -80,9 +81,9 @@ def test_structural_counts_match_formulas(rng):
         vals = random_delta_values(rng, max_len=8, max_abs=3)
         tau = from_values(vals).tau()
         root = GradedRoot.from_tau(tau)
-        assert root.structural_vertex_counts() == root.vertex_counts()
-        assert len(root.structural_leaves()) == root.leaves()
-        assert sum(root.red_ranks_by_degree().values()) == root.total_red()
+        assert root_oracle.structural_vertex_counts(root) == root.vertex_counts()
+        assert len(root_oracle.structural_leaves(root)) == root.leaves()
+        assert sum(root_oracle.red_ranks_by_degree(root).values()) == root.total_red()
         assert sum(root.hat_ranks_by_degree().values()) == root.total_hat()
 
 
@@ -92,8 +93,8 @@ def test_seifert_roots_match_rank_formulas(rng):
         ds = from_seifert(t)
         rep = ds.rank()
         root = GradedRoot.from_delta_sequence(ds)
-        assert len(root.structural_leaves()) == rep.c + 1
-        assert sum(root.red_ranks_by_degree().values()) == rep.rank_red
+        assert len(root_oracle.structural_leaves(root)) == rep.c + 1
+        assert sum(root_oracle.red_ranks_by_degree(root).values()) == rep.rank_red
         assert sum(root.hat_ranks_by_degree().values()) == rep.rank_hat
     for _ in range(10):
         t = random_tuple(rng, max_product=10**4)
@@ -113,12 +114,13 @@ def test_structure_matches_union_find_oracle(rng):
     assert {len(t.multiplicities) for t in tuples} == {3, 4}
     roots += [GradedRoot.from_delta_sequence(from_seifert(t)) for t in tuples]
     for root in roots:
-        oracle = oracle_root(root.extrema)
+        oracle = root_oracle.oracle_root(root.extrema)
         assert (root.vertices(), root.edges()) == oracle._structure, root.extrema
-        assert root.render("ascii") == row_scan_ascii(oracle), root.extrema
+        assert root.render("ascii") == root_oracle.row_scan_ascii(oracle), root.extrema
         for fmt in ("dot", "svg"):
             assert root.render(fmt) == oracle.render(fmt), (root.extrema, fmt)
-        assert root.hat_ranks_by_degree() == per_grading_hat_ranks(root), root.extrema
+        assert root.hat_ranks_by_degree() == \
+            root_oracle.per_grading_hat_ranks(root), root.extrema
 
 
 def test_hat_ranks_by_degree_ignore_the_grading_span():
@@ -129,17 +131,17 @@ def test_hat_ranks_by_degree_ignore_the_grading_span():
 
 def test_five_fiber_root_pinned():
     t = seifert.make_tuple([2, 3, 5, 7, 11])
-    tau = seifert.tau_sequence(t)
+    tau = dense_tau(t)
     root = GradedRoot.from_tau(tau)
     assert len(root.extrema) == 441
     assert len(root.vertices()) == 1115 and len(root.edges()) == 1114
-    assert len(root.structural_leaves()) == 221
+    assert len(root_oracle.structural_leaves(root)) == 221
     # a vertex at grading h is a maximal run of tau values <= h
     runs = {}
     for h in range(min(tau), max(tau) + 1):
         below = [x <= h for x in tau]
         runs[h] = sum(1 for i, b in enumerate(below) if b and (i == 0 or not below[i - 1]))
-    assert root.structural_vertex_counts() == runs == root.vertex_counts()
+    assert root_oracle.structural_vertex_counts(root) == runs == root.vertex_counts()
 
 
 def test_explicit_tree_size_guard(monkeypatch):
@@ -244,7 +246,7 @@ def test_hat_ranks_match_u_action_oracle():
 def test_hat_ranks_match_u_action_oracle_seifert():
     for ms in [(2, 3, 7), (2, 3, 35), (2, 5, 9), (3, 4, 7)]:
         t = seifert.make_tuple(list(ms))
-        tau = seifert.tau_sequence(t)
+        tau = dense_tau(t)
         root = GradedRoot.from_tau(tau)
         ker, coker = _u_action_ranks(tau)
         assert ker == root.leaves()

@@ -17,6 +17,7 @@ from floerrank.errors import NotSemiImmersionError
 from floerrank.morphism import DeltaMorphism
 
 import morphism_oracle
+from semigroup_oracle import normal_forms
 from test_acceptance import (
     _random_branched_cases,
     _random_comparable_pairs,
@@ -92,18 +93,19 @@ def test_criterion_05_families_match_oracle():
 
 def test_comparison_images_match_scalar_membership():
     # criterion 5's comparison families: the normal forms computed at once
-    # against seifert.membership, one positive position at a time
+    # against the oracle's scalar normal form, one positive position at a time
     rng = random.Random(50)
     _random_branched_cases(rng, 200)
     positives = 0
     for t, t2 in _random_comparable_pairs(rng, 200):
         m = morphism.partial_order_immersion(t, t2)
         p2 = t2.product
+        gens = [p2 // q for q in t2.multiplicities]
+        normal_form = normal_forms(t)
         want = []
         for x in m.source.positive_positions.tolist():
-            nf = seifert.membership(t, x)
-            want.append(p2 * nf.k + sum(xi * (p2 // q)
-                                        for xi, q in zip(nf.x, t2.multiplicities)))
+            k, xs = normal_form(x)
+            want.append(p2 * k + sum(xi * g for xi, g in zip(xs, gens)))
         assert m.mapping[m.source.values > 0].tolist() == want, (t, t2)
         positives += len(want)
     assert positives > 10**6

@@ -10,15 +10,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from floerrank import seifert
-from floerrank.errors import (
-    DegenerateTupleError,
-    NonPositiveEntryError,
-    NotCoprimeError,
-    NotMemberError,
-)
+from floerrank.errors import NonPositiveEntryError, NotCoprimeError
 
 from conftest import random_tuple
-from walk_oracle import assert_matches_oracle, dense_delta, dense_walk
+from semigroup_oracle import membership, membership_k_array, normal_forms, semigroup_sieve
+from walk_oracle import assert_matches_oracle, dense_delta, dense_tau, dense_walk
 
 
 def test_make_tuple_canonicalizes():
@@ -93,36 +89,27 @@ def test_n_cutoff_examples():
     assert seifert.n_cutoff(seifert.make_tuple([2, 3, 5, 7])) == 173
 
 
-def test_delta_at_examples():
-    t = seifert.make_tuple([2, 3, 7])
-    assert seifert.delta_at(t, 0) == 1
-    assert seifert.delta_at(t, 1) == -1
-    assert seifert.delta_at(seifert.make_tuple([2, 3, 13]), 6) == 1
-
-
-def test_delta_array_matches_scalar():
-    t = seifert.make_tuple([2, 5, 9])
-    N = seifert.n_cutoff(t)
-    arr = seifert.delta_array(t, 2 * N)
-    for n in range(2 * N + 1):
-        assert arr[n] == seifert.delta_at(t, n)
+def test_delta_examples():
+    assert seifert.delta_array(seifert.make_tuple([2, 3, 7]), 1).tolist() == [1, -1]
+    assert seifert.delta_array(seifert.make_tuple([2, 3, 13]), 6)[6] == 1
 
 
 def test_membership_examples():
     t = seifert.make_tuple([2, 3, 7])
-    nf = seifert.membership(t, 27)
+    nf = membership(t, 27)
     assert (nf.k, nf.x) == (0, (1, 0, 1)) and nf.is_member
-    nf = seifert.membership(t, 42)
+    nf = membership(t, 42)
     assert (nf.k, nf.x) == (1, (0, 0, 0))
-    nf = seifert.membership(t, 1)
+    nf = membership(t, 1)
     assert (nf.k, nf.x) == (-2, (1, 2, 6)) and not nf.is_member
 
 
 def test_membership_reconstructs():
     t = seifert.make_tuple([3, 4, 5])
     P = t.product
+    normal_form = normal_forms(t)
     for n in range(0, 200):
-        nf = seifert.membership(t, n)
+        nf = normal_form(n)
         assert P * nf.k + sum(x * (P // p) for x, p in
                               zip(nf.x, t.multiplicities)) == n
 
@@ -131,34 +118,34 @@ def test_membership_agrees_with_sieve(rng):
     for _ in range(10):
         t = random_tuple(rng, max_product=3 * 10**4)
         N = seifert.n_cutoff(t)
-        sieve = seifert.semigroup_sieve(t, N)
-        karr = seifert.membership_k_array(t, N)
+        sieve = semigroup_sieve(t, N)
+        karr = membership_k_array(t, N)
+        normal_form = normal_forms(t)
         for n in range(N + 1):
             assert bool(sieve[n]) == (karr[n] >= 0)
-            assert (seifert.membership(t, n).k >= 0) == bool(sieve[n])
+            assert normal_form(n).is_member == bool(sieve[n])
 
 
 def test_delta_semigroup_examples():
-    assert seifert.delta_semigroup(seifert.make_tuple([2, 3, 7]), 0) == 1
-    assert seifert.delta_semigroup(seifert.make_tuple([2, 3, 35]), 12) == 1
-    assert seifert.delta_semigroup(seifert.make_tuple([2, 3, 7]), 42) == 2
-    with pytest.raises(NotMemberError):
-        seifert.delta_semigroup(seifert.make_tuple([2, 3, 7]), 1)
+    # delta(n) = 1 + k on members n of the semigroup
+    for ms, n, want in (([2, 3, 7], 0, 1), ([2, 3, 35], 12, 1), ([2, 3, 7], 42, 2)):
+        t = seifert.make_tuple(ms)
+        assert 1 + membership(t, n).k == seifert.delta_array(t, n)[n] == want, (ms, n)
 
 
 def test_semigroup_elements_examples():
-    assert seifert.semigroup_elements_upto(seifert.make_tuple([2, 3, 7]), 10) == [0, 6]
-    assert seifert.semigroup_elements_upto(seifert.make_tuple([2, 3, 35]), 29) == \
-        [0, 6, 12, 18, 24]
-    assert seifert.semigroup_elements_upto(seifert.make_tuple([2, 3, 7]), 0) == [0]
+    def elements(ms, bound):
+        return np.flatnonzero(semigroup_sieve(seifert.make_tuple(ms), bound)).tolist()
+
+    assert elements([2, 3, 7], 10) == [0, 6]
+    assert elements([2, 3, 35], 29) == [0, 6, 12, 18, 24]
+    assert elements([2, 3, 7], 0) == [0]
 
 
 def test_tau_sequence():
-    assert seifert.tau_sequence(seifert.make_tuple([2, 3, 7])) == [0, 1, 0]
-    tau = seifert.tau_sequence(seifert.make_tuple([2, 3, 13]))
+    assert dense_tau(seifert.make_tuple([2, 3, 7])) == [0, 1, 0]
+    tau = dense_tau(seifert.make_tuple([2, 3, 13]))
     assert min(tau) == 0 and tau[-1] == 0 and tau[0] == 0
-    with pytest.raises(DegenerateTupleError):
-        seifert.tau_sequence(seifert.make_tuple([2, 3, 5]))
 
 
 def test_delta_symmetry_and_bounds(rng):
@@ -167,13 +154,13 @@ def test_delta_symmetry_and_bounds(rng):
         N = seifert.n_cutoff(t)
         l = t.fiber_count
         D = seifert.delta_array(t, 3 * N)
-        sieve = seifert.semigroup_sieve(t, N)
+        sieve = semigroup_sieve(t, N)
         assert all(D[n] == -D[N - n] for n in range(N + 1))
         assert all(-(l - 2) <= D[n] <= l - 2 for n in range(N + 1))
         assert all((D[n] >= 1) == bool(sieve[n]) for n in range(N + 1))
         assert all(D[n] >= 0 for n in range(N + 1, 3 * N + 1))
-        members = np.flatnonzero(sieve)
-        assert all(D[int(n)] == seifert.delta_semigroup(t, int(n)) for n in members)
+        normal_form = normal_forms(t)
+        assert all(D[n] == 1 + normal_form(n).k for n in np.flatnonzero(sieve).tolist())
 
 
 def test_n_cutoff_positive_unless_exceptional(rng):

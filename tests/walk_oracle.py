@@ -27,6 +27,11 @@ def dense_delta(t: SeifertTuple, upto: int) -> np.ndarray:
     return acc
 
 
+def dense_tau(t: SeifertTuple) -> list:
+    """tau(0..N+1) with tau(0) = 0 and tau(n+1) = tau(n) + delta(n)."""
+    return [0] + np.cumsum(dense_delta(t, seifert.n_cutoff(t))).tolist()
+
+
 @dataclass(frozen=True)
 class DenseWalk:
     """kappa, min_tau, c from the formula view; leaf_count, red_total from
