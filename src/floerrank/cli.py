@@ -150,36 +150,33 @@ def check_cache(path: str) -> int:
 
 def _extract_verify_options(tokens):
     """Pull --n and --move out of the raw remainder the parser handed us."""
-    n, moves, rest = 1, [], []
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("--n", "--move") and i + 1 == len(tokens):
-            raise ValueError(f"verify: {tok} needs a value")
-        if tok == "--n":
-            n = int(tokens[i + 1])
-            i += 2
-        elif tok.startswith("--n="):
-            n = int(tok.split("=", 1)[1])
-            i += 1
-        elif tok == "--move":
-            moves.append(tokens[i + 1])
-            i += 2
-        elif tok.startswith("--move="):
-            moves.append(tok.split("=", 1)[1])
-            i += 1
-        else:
+    n, moves, rest = None, [], []
+    tokens = iter(tokens)
+    for tok in tokens:
+        option, eq, value = tok.partition("=")
+        if option not in ("--n", "--move"):
             rest.append(tok)
-            i += 1
+            continue
+        if not eq and (value := next(tokens, None)) is None:
+            raise ValueError(f"verify: {option} needs a value")
+        if option == "--n":
+            n = int(value)
+        else:
+            moves.append(value)
     return n, moves, rest
 
 
 def cmd_verify(args) -> int:
     n, moves, tokens = _extract_verify_options(args.args)
+    for option, given, taker in (("--n", n is not None, "branched"), ("--move", moves, "degree")):
+        if given and args.which != taker:
+            raise ValueError(f"verify {args.which}: {option} applies only to verify {taker}")
     head, tail = _split_on_dashes(tokens)
+    if tail and args.which in ("branched", "degree"):
+        raise ValueError(f"verify {args.which}: takes one tuple, not a second after --")
     if args.which == "branched":
         t = _tuple_from(head)
-        report = verify.verify_branched(t, n)
+        report = verify.verify_branched(t, 1 if n is None else n)
     elif args.which == "pinch":
         if len(tail) != 2:
             print("verify pinch: usage P1 P2 ... -- Q R", file=sys.stderr)
@@ -190,12 +187,9 @@ def cmd_verify(args) -> int:
             print("verify monotone: usage P1 ... -- Q1 ...", file=sys.stderr)
             return USAGE_ERROR
         report = verify.verify_monotone(_tuple_from(head), _tuple_from(tail))
-    elif args.which == "degree":
+    else:   # degree; the parser admits no other verifier
         t = _tuple_from(head)
         report = verify.verify_degree_map(t, [_parse_move(text) for text in moves])
-    else:
-        print(f"unknown verifier {args.which!r}", file=sys.stderr)
-        return USAGE_ERROR
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.verdict == "holds" else VERDICT_ERROR
 

@@ -32,18 +32,12 @@ from .errors import (
 )
 
 # Seifert delta sequences over a longer [0, N] are refused rather than built.
-# from_seifert peaks at about 24 bytes per entry of [0, N] (the nonzeros'
-# positions and values, about 73% of entries, beside the sequence's own
-# copies of them; delta_array fills its one dense array chunk by chunk, and
-# it is dropped first; traced by tracemalloc on (2,3,5,7,11,13,19)): about
-# 100 MB here.
+# from_seifert peaks at about 20 bytes per entry of [0, N]: the dense delta
+# array (8 bytes an entry, filled chunk by chunk) beside the positions and
+# values of its nonzeros (about 73% of entries), which the sequence keeps
+# without a copy (traced by tracemalloc on (2,3,5,7,11,13,19), 19.6 bytes):
+# about 80 MB here.
 MAX_CUTOFF = 4_000_000
-
-
-def _frozen(data) -> np.ndarray:
-    arr = np.array(data, dtype=np.int64)
-    arr.flags.writeable = False
-    return arr
 
 
 def _find(ordered: np.ndarray, items):
@@ -59,7 +53,18 @@ class DeltaSequence:
     """Immutable delta sequence: sorted positions with nonzero values."""
 
     def __init__(self, positions, values):
-        positions, values = _frozen(positions), _frozen(values)
+        """Copies positions and values: the caller's arrays may change later."""
+        self._hold(np.array(positions, dtype=np.int64), np.array(values, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, positions, values) -> "DeltaSequence":
+        """The library's own fresh arrays, kept (made read-only), not copied."""
+        seq = cls.__new__(cls)
+        seq._hold(np.asarray(positions, dtype=np.int64), np.asarray(values, dtype=np.int64))
+        return seq
+
+    def _hold(self, positions: np.ndarray, values: np.ndarray):
+        positions.flags.writeable = values.flags.writeable = False
         if positions.ndim != 1 or positions.shape != values.shape:
             raise ValueError("positions and values must be 1-d of equal length")
         if np.any(positions[1:] <= positions[:-1]):
@@ -112,7 +117,7 @@ class DeltaSequence:
                                       c=int(c))
 
     def _restrict(self, mask) -> "DeltaSequence":
-        return DeltaSequence(self.positions[mask], self.values[mask])
+        return DeltaSequence._adopt(self.positions[mask], self.values[mask])
 
     def subsequence(self, keep) -> "DeltaSequence":
         """Restriction to a subset of positions; must still start positive."""
@@ -146,7 +151,7 @@ class DeltaSequence:
             pieces += [self.values[prev:i], parts]
             prev = i + 1
         values = np.concatenate(pieces + [self.values[prev:]])
-        return DeltaSequence(np.arange(values.size), values)
+        return DeltaSequence._adopt(np.arange(values.size), values)
 
     def merge(self, run) -> "DeltaSequence":
         """Replace a consecutive same-sign run of positions by their sum."""
@@ -158,7 +163,7 @@ class DeltaSequence:
         if np.any((vals > 0) != (vals[0] > 0)):
             raise SignMismatchError(f"run values {vals.tolist()} are not of one sign")
         values = np.concatenate([self.values[:i0], [vals.sum()], self.values[i1 + 1:]])
-        return DeltaSequence(np.delete(self.positions, np.s_[i0 + 1:i1 + 1]), values)
+        return DeltaSequence._adopt(np.delete(self.positions, np.s_[i0 + 1:i1 + 1]), values)
 
     def canonical_values(self) -> list:
         """Maximal same-sign runs merged; equal lists mean equivalent sequences."""
@@ -197,5 +202,5 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     d = seifert.delta_array(t, N)
     positions = np.flatnonzero(d)
     values = d[positions]
-    del d   # the dense array is not alive beside the sequence's own copies
-    return DeltaSequence(positions, values)
+    del d   # the dense array is not alive while the sequence is checked
+    return DeltaSequence._adopt(positions, values)

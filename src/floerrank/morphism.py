@@ -214,20 +214,23 @@ def embed_to_subsequence(m: DeltaMorphism):
     values = np.empty(index.size + np.count_nonzero(has_rem), dtype=np.int64)
     values[slot] = source.values
     values[(np.cumsum(counts) + before)[has_rem]] = remainder[has_rem]
-    target = DeltaSequence(np.arange(values.size), values)
+    target = DeltaSequence._adopt(np.arange(values.size), values)
 
     run = np.cumsum(np.diff(source.values > 0, prepend=source.values[:1] > 0))
     perm = np.lexsort((slot, run))
-    refined_source = DeltaSequence(source.positions, source.values[perm])
+    refined_source = DeltaSequence._adopt(source.positions, source.values[perm])
     result = DeltaMorphism(refined_source, target, slot[perm])
     assert result.is_isomorphism_onto_image()
     return refined_source, target, result
 
 
 def _split_in_two(seq: DeltaSequence, at, first) -> DeltaSequence:
-    """Refine the value at each index in at into (first, the rest)."""
-    parts = np.column_stack([first, seq.values[at] - first]).tolist()
-    return seq.refine_many(dict(zip(seq.positions[at].tolist(), parts)))
+    """Refine the value at each index in at into (first, the rest), at 0..k-1;
+    fix_defects' control function gives both parts the value's sign."""
+    values = seq.values.copy()
+    values[at] = first
+    values = np.insert(values, at + 1, seq.values[at] - first)
+    return DeltaSequence._adopt(np.arange(values.size), values)
 
 
 def _after_split(at, i):
@@ -309,20 +312,22 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
         raise DegenerateTupleError("both tuples must have delta sequences")
     target = from_seifert(t2)
     source = from_seifert(t)
-    n1, p1, p2 = seifert.n_cutoff(t), t.product, t2.product
-    check_int64((n1 + 1) * p1)
-    # the normal forms of all positives at once, one array pass per fiber
+    n1, p2 = seifert.n_cutoff(t), t2.product
     xs = source.positive_positions
-    k = xs.copy()
-    images = np.zeros_like(xs)
-    for (p, gen, inv), q in zip(_fiber_projection_data(ps, p1), qs):
-        coord = xs * inv % p
-        k -= coord * gen
-        images += coord * (p2 // q)
-    k, rem = np.divmod(k, p1)
-    assert not rem.any()
-    images += p2 * k
+    k, coords = _normal_forms(xs, t, n1)
+    images = p2 * k + sum(coord * (p2 // q) for coord, q in zip(coords, qs))
     return _reflected(source, target, xs, images, n1, seifert.n_cutoff(t2))
+
+
+def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
+    """k and the coordinates x_i of each member x = P (k + sum x_i/p_i) in xs,
+    members of t at most n, by one array pass per fiber of t."""
+    full, ps = t.product, t.multiplicities
+    check_int64((n + 1) * full)
+    coords = [xs * mod_inverse(full // p % p, p) % p for p in ps]
+    k, rem = np.divmod(xs - sum(c * (full // p) for c, p in zip(coords, ps)), full)
+    assert not rem.any()
+    return k, coords
 
 
 # -- two-generator numerical semigroups (the pinch engine) -------------------
@@ -333,8 +338,9 @@ class TwoGenSemigroup:
 
     Carries the two delta functions 1 + floor(x/qr) on the natural numbers
     and 1 + floor(a/r) + floor(b/q) on members, and the order bijection psi
-    between them.  Everything below the Frobenius regime is a small lookup
-    table; above it psi is a constant shift by half the gap count.
+    between them.  psi reads an int64 table of the members below the
+    Frobenius number under the shift (half the gap count) and adds the
+    shift above.  psi_array and theta_array map int64 arrays elementwise.
     """
 
     def __init__(self, q: int, r: int):
@@ -346,14 +352,14 @@ class TwoGenSemigroup:
         self.frobenius = q * r - q - r
         self.shift = (q - 1) * (r - 1) // 2
         self._q_inv_mod_r = mod_inverse(q % r, r)
-        self._small = [s for s in range(self.frobenius + 1) if self._is_member(s)]
-        assert len(self._small) == self.shift
+        upto = np.arange(self.frobenius + 1)
+        self._small = upto[upto * self._q_inv_mod_r % r * q <= upto]
+        self._small.flags.writeable = False
+        assert self._small.size == self.shift
 
     def _is_member(self, s: int) -> bool:
-        if s < 0:
-            return False
-        a = (s * self._q_inv_mod_r) % self.r
-        return a * self.q <= s
+        # s = aq + br with 0 <= a < r, a member iff b >= 0
+        return s >= 0 and s * self._q_inv_mod_r % self.r * self.q <= s
 
     def __contains__(self, s) -> bool:
         return self._is_member(int(s))
@@ -370,8 +376,12 @@ class TwoGenSemigroup:
         if x < 0:
             raise ValueError("psi is defined on nonnegative integers")
         if x < self.shift:
-            return self._small[x]
+            return int(self._small[x])
         return x + self.shift
+
+    def psi_array(self, x: np.ndarray) -> np.ndarray:
+        """psi of each entry of a nonnegative int64 array."""
+        return np.where(x < self.shift, self._small.take(x, mode="clip"), x + self.shift)
 
     def delta_upper(self, x: int) -> int:
         """1 + floor(x / qr), the delta value on the natural numbers."""
@@ -383,9 +393,11 @@ class TwoGenSemigroup:
         """1 + floor(a/r) + floor(b/q) for the canonical s = aq + br."""
         if not self._is_member(s):
             raise NotMemberError(f"{s} is not in S({self.q},{self.r})")
-        a = (s * self._q_inv_mod_r) % self.r
-        b = (s - a * self.q) // self.r
-        return 1 + a // self.r + b // self.q
+        return self._delta_lower(s)
+
+    def _delta_lower(self, s):
+        a = s * self._q_inv_mod_r % self.r
+        return 1 + a // self.r + (s - a * self.q) // self.r // self.q
 
     def defect(self, x: int) -> int:
         """Defect of x under psi: delta_upper(x) - delta_lower(psi(x))."""
@@ -398,8 +410,16 @@ class TwoGenSemigroup:
         """Control partner 2kqr - b - 1 of a bad point in [kqr, (k+1)qr)."""
         if self.defect(b) <= 0:
             raise NotBadError(f"{b} has no positive defect under psi")
-        k = b // (self.q * self.r)
-        return 2 * k * self.q * self.r - b - 1
+        qr = self.q * self.r
+        return 2 * (b // qr) * qr - b - 1
+
+    def theta_array(self, b: np.ndarray) -> np.ndarray:
+        """theta of each entry of a nonnegative int64 array, all bad points."""
+        qr = self.q * self.r
+        bad = 1 + b // qr > self._delta_lower(self.psi_array(b))
+        if not bad.all():
+            raise NotBadError(f"{b[~bad][:5].tolist()} have no positive defect under psi")
+        return 2 * (b // qr) * qr - b - 1
 
 
 # -- rigid maps and the pinch morphism ---------------------------------------
@@ -423,43 +443,35 @@ def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
     point by more than half the cutoff difference; the reflected extension
     is then a one-to-one semi-immersion.
     """
-    if set(partial.keys()) != set(source.positive_positions.tolist()):
-        raise NotRigidError("partial map must be defined exactly on the positive positions")
-    if len(set(partial.values())) != len(partial):
-        raise NotRigidError("partial map is not injective")
-    for x, y in partial.items():
-        if y < x:
-            raise NotRigidError(f"image decreases at {x} -> {y}")
-        if 2 * (y - x) > n_target - n_source:
-            raise NotRigidError(f"shift at {x} -> {y} exceeds half the cutoff difference")
     xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
+    if not np.array_equal(np.sort(xs), source.positive_positions):
+        raise NotRigidError("partial map must be defined exactly on the positive positions")
     ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
+    return _rigid(source, target, xs, ys, n_source, n_target)
+
+
+def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
+           ys: np.ndarray, n_source: int, n_target: int) -> DeltaMorphism:
+    """The reflected extension of xs -> ys, once the map is checked rigid."""
+    if not _distinct(ys):
+        raise NotRigidError("partial map is not injective")
+    broken = (ys < xs) | (2 * (ys - xs) > n_target - n_source)
+    if broken.any():
+        i = np.argmax(broken)
+        raise NotRigidError(f"{xs[i]} -> {ys[i]} moves left or by more than half "
+                            "the cutoff difference")
     return _reflected(source, target, xs, ys, n_source, n_target)
-
-
-def _fiber_projection_data(base, full_product: int):
-    """(p, P/p, inverse of P/p mod p) per base fiber, computed once."""
-    return [(p, full_product // p, mod_inverse((full_product // p) % p, p))
-            for p in base]
-
-
-def _fiber_projection(x: int, proj_data, base_product: int) -> int:
-    """Coordinate z of x = P_t [z + qr sum x_i/p_i] in the source semigroup."""
-    acc = x
-    for p, gen, inv in proj_data:
-        acc -= ((x * inv) % p) * gen
-    z, rem = divmod(acc, base_product)
-    assert rem == 0
-    return z
 
 
 def pinch_semi_immersion(base, q: int, r: int):
     """The pinch map from Sigma(base, qr) into Sigma(base, q, r).
 
-    On positive positions the qr-fiber coordinate z is replaced by psi(z),
-    the order bijection of the two-generator semigroup; the rest extends by
-    reflection.  Returns (morphism, theta) where theta pairs every
-    positive-defect position with a compensating one.
+    A positive position x = P (k + sum x_i/p_i + x_qr/qr) is unit z plus a
+    base-fiber part, z = qr k + x_qr and unit = P/qr.  All positives have z
+    replaced by psi(z) at once, psi the order bijection of the two-generator
+    semigroup, and the rest extends by reflection.  Returns (morphism,
+    theta): theta puts theta(z) for z at each positive-defect position,
+    reflected on the negative side.
     """
     base = tuple(seifert.make_tuple(base).multiplicities)
     if q < 2 or r < 2:
@@ -474,28 +486,16 @@ def pinch_semi_immersion(base, q: int, r: int):
     target = from_seifert(t_target)
     source = from_seifert(t_source)
     n1, n2 = seifert.n_cutoff(t_source), seifert.n_cutoff(t_target)
-    base_product = 1
-    for p in base:
-        base_product *= p
+    unit = t_source.product // (q * r)
     semi = TwoGenSemigroup(q, r)
 
-    proj_data = _fiber_projection_data(base, t_source.product)
-    partial = {}
-    projections = {}
-    for x in source.positive_positions.tolist():
-        z = _fiber_projection(x, proj_data, base_product)
-        projections[x] = z
-        partial[x] = x + base_product * (semi.psi(z) - z)
-    morphism = rigid_extend(source, target, partial, n1, n2)
+    xs = source.positive_positions
+    k, coords = _normal_forms(xs, t_source, n1)
+    z = q * r * k + coords[t_source.multiplicities.index(q * r)]
+    morphism = _rigid(source, target, xs, xs + unit * (semi.psi_array(z) - z), n1, n2)
 
-    theta = {}
     table = morphism.defect_table()
-    for b in table.bad.tolist():
-        if b in projections:  # positive side
-            z = projections[b]
-            theta[b] = b + base_product * (semi.theta(z) - z)
-        else:                 # reflected side
-            x = n1 - b
-            z = projections[x]
-            theta[b] = n1 - (x + base_product * (semi.theta(z) - z))
-    return morphism, theta
+    side = np.sign(source.values[table.defects > 0])    # -1: reflected from n1 - b
+    zb = z[np.searchsorted(xs, np.where(side > 0, table.bad, n1 - table.bad))]
+    partners = table.bad + side * unit * (semi.theta_array(zb) - zb)
+    return morphism, dict(zip(table.bad.tolist(), partners.tolist()))

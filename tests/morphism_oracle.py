@@ -8,11 +8,19 @@ and checks each property with a few array operations; the tests compare
 the two verdict by verdict.  Values are looked up in dicts built once per
 sequence, so the oracle stays fast enough to replay the acceptance suite's
 witness families.
+
+pinch_oracle builds the pinch map and its control function one position at
+a time, from a scalar fiber projection and the scalar TwoGenSemigroup.psi
+and theta; the library builds both with array passes over all positions.
 """
 
 from dataclasses import dataclass
+from math import prod
 
+from floerrank import seifert
+from floerrank.deltaseq import from_seifert
 from floerrank.errors import FirstElementNegativeError, NotSemiImmersionError
+from floerrank.morphism import TwoGenSemigroup
 
 
 _recent = []    # (sequence, its position -> value dict), newest first
@@ -187,3 +195,46 @@ def is_control_function(m: DictMorphism, theta: dict) -> bool:
         if abs(table.defects[b]) > abs(table.defects[g]):
             return False
     return True
+
+
+def pinch_oracle(base, q: int, r: int):
+    """The pinch map Sigma(base, qr) -> Sigma(base, q, r), one position at a time.
+
+    Returns (index, theta): for each source position the index of its image
+    among the target's positions, and the control function on the map's
+    bad points (positive defect), a dict.
+    """
+    base = seifert.make_tuple(base).multiplicities
+    t_source = seifert.make_tuple(base + (q * r,))
+    t_target = seifert.make_tuple(base + (q, r))
+    source, target = from_seifert(t_source), from_seifert(t_target)
+    n1, n2 = seifert.n_cutoff(t_source), seifert.n_cutoff(t_target)
+    full, unit = t_source.product, prod(base)
+    semi = TwoGenSemigroup(q, r)
+
+    def project(x):
+        # x = full (k + sum x_i/p_i + x_qr/qr) = unit z with z = qr k + x_qr
+        rest = x
+        for p in base:
+            gen = full // p
+            rest -= x * pow(gen, -1, p) % p * gen
+        z, rem = divmod(rest, unit)
+        assert rem == 0
+        return z
+
+    def moved(x, along):
+        # x with its coordinate z replaced by along(z)
+        z = project(x)
+        return x + unit * (along(z) - z)
+
+    image = {}
+    for x in source.positive_positions.tolist():
+        image[x] = moved(x, semi.psi)
+        image[n1 - x] = n2 - image[x]
+    index = target.indices_of([image[x] for x in source.positions.tolist()])
+    target_values = dict(zip(target.positions.tolist(), target.values.tolist()))
+    theta = {}
+    for x, v in zip(source.positions.tolist(), source.values.tolist()):
+        if abs(v) > abs(target_values[image[x]]):
+            theta[x] = moved(x, semi.theta) if v > 0 else n1 - moved(n1 - x, semi.theta)
+    return index, theta

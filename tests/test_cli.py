@@ -252,6 +252,28 @@ def test_verify_option_without_value(capsys, argv):
     assert err.strip() == f"error: verify: {argv[-1]} needs a value"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (("pinch", "2", "3", "--", "5", "7", "--n", "3"), "--n"),
+    (("monotone", "2", "3", "7", "--", "2", "3", "11", "--move", "pinch:2,3"), "--move"),
+    (("branched", "2", "3", "7", "--move", "pinch:2,3", "--n", "5"), "--move"),
+    (("degree", "2", "3", "7", "--n", "9"), "--n"),
+    (("degree", "2", "3", "7", "--n=9", "--move", "pinch:2,3"), "--n"),
+])
+def test_verify_refuses_option_it_does_not_take(capsys, argv, option):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: verify {argv[0]}: {option} applies only to verify "), err
+
+
+@pytest.mark.parametrize("argv", [("branched", "2", "3", "7", "--", "5", "11"),
+                                  ("degree", "2", "3", "7", "--", "9")])
+def test_verify_refuses_second_tuple_it_does_not_take(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: verify {argv[0]}: takes one tuple, not a second after --\n"
+
+
 def test_scan_cli(capsys):
     code, out, _ = run(capsys, "scan", "9")
     assert code == 0

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,10 +196,37 @@ def test_json_round_trip():
 
 def test_arrays_are_read_only_int64():
     ds = from_seifert(seifert.make_tuple([2, 3, 13]))
-    for arr in (ds.positions, ds.values):
-        assert arr.dtype == np.int64 and not arr.flags.writeable
+    for seq in (ds, ds.refine(6, [1]), ds.merge([6]), ds.subsequence([0, 1]),
+                ds.complement([0]), DeltaSequence([0, 2], [1, -1])):
+        for arr in (seq.positions, seq.values):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
     with pytest.raises(ValueError):
         ds.values[0] = 2
+
+
+def test_constructor_copies_the_callers_arrays():
+    positions, values = np.array([0, 3, 5]), np.array([2, -1, -1])
+    ds = DeltaSequence(positions, values)
+    from_list = from_values(values)
+    positions[1], values[0] = 4, 7
+    assert ds.positions.tolist() == [0, 3, 5] and ds.values.tolist() == [2, -1, -1]
+    assert from_list.values.tolist() == [2, -1, -1]
+
+
+def test_from_seifert_keeps_its_arrays_without_a_copy():
+    # the dense array beside the nonzeros' positions and values, about 20
+    # bytes per entry of [0, N]; a copy of both arrays would make about 24
+    t = seifert.make_tuple([2, 3, 5, 7, 11, 13, 19])
+    N = seifert.n_cutoff(t)
+    seifert.normalized_invariants(t)
+    tracemalloc.start()
+    try:
+        ds = from_seifert(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 1492334
+    assert peak / (N + 1) < 21, peak / (N + 1)
 
 
 def test_restrictions_and_merges_keep_labels():

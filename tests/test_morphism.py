@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from floerrank import morphism, seifert
 from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
@@ -366,6 +368,39 @@ def test_pinch_rejects_bad_inputs():
         pinch_semi_immersion((2, 4), 3, 5)
     with pytest.raises(DegenerateTupleError):
         pinch_semi_immersion((2,), 3, 5)  # source Sigma(2,15) is S^3-like
+
+
+@st.composite
+def pinch_cases(draw):
+    """(base, q, r) pairwise coprime, each entry bumped up from a drawn
+    floor; the unpinched cutoff is at most 200,000, well under MAX_CUTOFF.
+    Three-entry bases make bad points, two-entry ones mostly do not."""
+    entries = []
+    for floor in draw(st.lists(st.integers(2, 13), min_size=4, max_size=5)):
+        while any(math.gcd(floor, e) != 1 for e in entries):
+            floor += 1
+        entries.append(floor)
+    q, r, *base = entries
+    source = seifert.make_tuple(base + [q * r])
+    target = seifert.make_tuple(base + [q, r])
+    assume(not (source.is_degenerate or target.is_degenerate))
+    assume(seifert.n_cutoff(target) <= 200_000)
+    return tuple(base), q, r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pinch_cases())
+def test_pinch_witness_properties(case):
+    base, q, r = case
+    m, theta = pinch_semi_immersion(base, q, r)
+    assert m.is_injective() and m.is_semi_immersion()
+    assert is_control_function(m, theta)
+    assert np.all(np.abs(m.defect_table().defects) <= 1)
+    s2, t2, fixed = fix_defects(m, theta)
+    assert fixed.is_injective() and fixed.is_immersion()
+    # the repair refines without changing ranks, and the pinched rank is the smaller
+    assert (s2.rank(), t2.rank()) == (m.source.rank(), m.target.rank())
+    assert m.source.rank().rank_red <= m.target.rank().rank_red
 
 
 def test_rigid_extend():

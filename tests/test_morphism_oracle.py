@@ -3,7 +3,9 @@
 Every verdict of floerrank.morphism is compared with tests/morphism_oracle.py
 on the witness families of acceptance criterion 5, on a perturbed corpus
 that breaks those witnesses in four known ways, and on random maps between
-random abstract delta sequences.
+random abstract delta sequences.  The pinch construction is compared with
+the oracle's scalar one on criterion 5's pinches, a seeded corpus and the
+pinches the degree-map verifier builds.
 """
 
 import random
@@ -11,13 +13,16 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from floerrank import morphism, seifert
+from floerrank import morphism, seifert, verify
+from floerrank.arith import pairwise_coprime
 from floerrank.deltaseq import from_values
 from floerrank.errors import NotSemiImmersionError
 from floerrank.morphism import DeltaMorphism
+from floerrank.verify import DegreeMove
 
 import morphism_oracle
 from semigroup_oracle import normal_forms
+from conftest import random_tuple
 from test_acceptance import (
     _random_branched_cases,
     _random_comparable_pairs,
@@ -109,6 +114,70 @@ def test_comparison_images_match_scalar_membership():
         assert m.mapping[m.source.values > 0].tolist() == want, (t, t2)
         positives += len(want)
     assert positives > 10**6
+
+
+# -- the pinch construction against its scalar form -------------------------
+
+
+def _criterion_05_pinches():
+    rng = random.Random(50)
+    _random_branched_cases(rng, 200)
+    _random_comparable_pairs(rng, 200)
+    return [(base.multiplicities, q, r) for base, q, r in _random_pinch_cases(rng, 100)]
+
+
+def _seeded_pinches(count):
+    """Random 3-entry bases with coprime (q, r) below 20; most have bad points."""
+    rng = random.Random(10)
+    cases = []
+    while len(cases) < count:
+        base = random_tuple(rng, lengths=(3,), max_entry=13, max_product=500,
+                            allow_degenerate=True).multiplicities
+        q, r = sorted(rng.sample(range(2, 20), 2))
+        if not pairwise_coprime(base + (q, r)):
+            continue
+        target = seifert.make_tuple(base + (q, r))
+        if target.is_degenerate or seifert.n_cutoff(target) > 300_000:
+            continue
+        cases.append((base, q, r))
+    return cases
+
+
+def _degree_map_pinches(monkeypatch):
+    """The (base, q, r) of every pinch the degree-map verifier builds."""
+    calls = []
+    original = morphism.pinch_semi_immersion
+
+    def recording(base, q, r):
+        calls.append((tuple(base), q, r))
+        return original(base, q, r)
+
+    monkeypatch.setattr(morphism, "pinch_semi_immersion", recording)
+    T = seifert.make_tuple
+    chains = [(T([2, 3, 5, 7]), [DegreeMove("pinch", fibers=(5, 7))]),
+              (T([2, 3, 7, 11]), [DegreeMove("branched_regular", n=11)]),
+              (T([2, 3, 7, 11]), [DegreeMove("branched_fiber", n=11, fibers=(11,))]),
+              (T([2, 3, 5, 7, 11]), [DegreeMove("pinch", fibers=(7, 11)),
+                                     DegreeMove("pinch", fibers=(5, 77))]),
+              (T([3, 4, 5, 7, 11]), [DegreeMove("pinch", fibers=(4, 11)),
+                                     DegreeMove("branched_regular", n=5)])]
+    for start, moves in chains:
+        assert verify.verify_degree_map(start, moves).verdict == "holds", (start, moves)
+    monkeypatch.undo()
+    return calls
+
+
+def test_pinch_matches_scalar_oracle(monkeypatch):
+    degree_map = _degree_map_pinches(monkeypatch)
+    assert len(degree_map) == 7
+    with_bad = 0
+    for base, q, r in _criterion_05_pinches() + _seeded_pinches(40) + degree_map:
+        m, theta = morphism.pinch_semi_immersion(base, q, r)
+        index, want = morphism_oracle.pinch_oracle(base, q, r)
+        assert np.array_equal(m.index, index), (base, q, r)
+        assert theta == want, (base, q, r)
+        with_bad += bool(theta)
+    assert with_bad >= 80
 
 
 # -- the perturbed corpus -----------------------------------------------------
