@@ -20,7 +20,6 @@ from .morphism import (
     is_control_function,
     partial_order_immersion,
     pinch_semi_immersion,
-    rigid_extend,
 )
 from .seifert import (
     NormalizedInvariants,
@@ -50,7 +49,7 @@ __all__ = [
     "embed_to_subsequence", "euler_number", "fix_defects", "from_seifert",
     "is_control_function", "make_tuple", "n_cutoff", "normalized_invariants",
     "partial_order_immersion", "pinch_semi_immersion", "rank_pair",
-    "rigid_extend", "scan_hat_monotonicity", "solve", "table",
+    "scan_hat_monotonicity", "solve", "table",
     "verify_branched", "verify_branched_hat", "verify_degree_map",
     "verify_monotone", "verify_pinch", "walk_statistics",
 ]

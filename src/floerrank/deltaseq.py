@@ -32,11 +32,11 @@ from .errors import (
 )
 
 # Seifert delta sequences over a longer [0, N] are refused rather than built.
-# from_seifert peaks at about 20 bytes per entry of [0, N]: the dense delta
-# array (8 bytes an entry, filled chunk by chunk) beside the positions and
-# values of its nonzeros (about 73% of entries), which the sequence keeps
-# without a copy (traced by tracemalloc on (2,3,5,7,11,13,19), 19.6 bytes):
-# about 80 MB here.
+# from_seifert peaks at about 16 bytes per entry of [0, N]: the dense delta
+# array of the half n < N/2 (4 bytes an entry of [0, N], filled chunk by
+# chunk) beside the positions and values of the nonzeros on all of [0, N]
+# (about 73% of entries), which the sequence keeps without a copy (traced
+# by tracemalloc on (2,3,5,7,11,13,19), 15.6 bytes): about 62 MB here.
 MAX_CUTOFF = 4_000_000
 
 
@@ -189,9 +189,10 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
 
     delta is >= 1 exactly on the semigroup members S in [0, N] and is
     antisymmetric about N/2, so its nonzeros are S together with the
-    reflections N - S, where it is negative.  The zeros it drops do not
-    affect the graded root.  A cutoff N above MAX_CUTOFF is refused with a
-    ValueError before anything is allocated.
+    reflections N - S, where it is negative.  Only n < N/2 is evaluated:
+    the nonzeros there are mirrored to positions N - p with values -v.
+    The zeros it drops do not affect the graded root.  A cutoff N above
+    MAX_CUTOFF is refused with a ValueError before anything is allocated.
     """
     if t.is_degenerate:
         raise DegenerateTupleError(f"{t} has no delta sequence (reduced rank 0)")
@@ -199,8 +200,13 @@ def from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     if N > MAX_CUTOFF:
         raise ValueError(f"delta sequence of {t} spans N = {N}, more than "
                          f"the N = {MAX_CUTOFF} a sequence may span")
-    d = seifert.delta_array(t, N)
-    positions = np.flatnonzero(d)
-    values = d[positions]
-    del d   # the dense array is not alive while the sequence is checked
+    d = seifert.delta_array(t, (N + 1) // 2 - 1)   # n < N/2; delta(N/2) = 0
+    k = np.count_nonzero(d)
+    positions = np.empty(2 * k, dtype=np.int64)
+    positions[:k] = np.flatnonzero(d)
+    values = np.empty(2 * k, dtype=np.int64)
+    np.take(d, positions[:k], out=values[:k], mode="clip")   # "raise" buffers out
+    del d   # the dense half is not alive while the mirror is written and checked
+    np.subtract(N, positions[k - 1::-1], out=positions[k:])
+    np.negative(values[k - 1::-1], out=values[k:])
     return DeltaSequence._adopt(positions, values)

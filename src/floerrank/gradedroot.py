@@ -22,7 +22,6 @@ with minima v_1..v_m and maxima u_1..u_{m-1},
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import EmptySequenceError, UnknownFormatError
 
@@ -270,7 +269,7 @@ class GradedRoot:
             parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
         for h in range(lo, self.stabilization + 1):
             y = margin + (self.stabilization - h) * scale
-            parts.append(f'<text x="2" y="{y + 4}" font-size="10">{escape(str(h))}</text>')
+            parts.append(f'<text x="2" y="{y + 4}" font-size="10">{h}</text>')
         parts.append("</svg>")
         return "\n".join(parts) + "\n"
 

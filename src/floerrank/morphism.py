@@ -25,6 +25,7 @@ semigroup.
 """
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -49,18 +50,53 @@ def _distinct(values: np.ndarray) -> bool:
     return bool(np.all(ordered[1:] != ordered[:-1]))
 
 
+def _cached(check):
+    """A validator whose verdict the map keeps after its first call."""
+    name = check.__name__
+
+    @wraps(check)
+    def cached(self) -> bool:
+        verdict = self._verdicts.get(name)
+        if verdict is None:
+            verdict = self._verdicts[name] = check(self)
+        return verdict
+
+    return cached
+
+
 class DeltaMorphism:
     """A total position map between two delta sequences.
 
     mapping lists the image of each source position, in source order; it is
     converted once into index, a read-only int64 array holding for each
     source position the index of its image among the target's positions.
-    A position outside the target is refused.  Each validator is a few
-    array operations over index and the two sequences' values.
+    A position outside the target is refused.  The library's own
+    constructions, which build target indices directly, go through
+    _from_index instead: it checks that each index lies in the target and
+    searches nothing.  Each validator is a few array operations over index
+    and the two sequences' values.  The arrays are read-only, so a verdict
+    cannot change: the map keeps each validator's verdict (and, like the
+    defect table, the control-function verdict of the last theta, keyed by
+    a copy of its contents), and a check repeated on the same map is
+    answered from that cache.
     """
 
     def __init__(self, source: DeltaSequence, target: DeltaSequence, mapping):
-        index = target.indices_of(mapping)
+        self._hold(source, target, target.indices_of(mapping))
+
+    @classmethod
+    def _from_index(cls, source: DeltaSequence, target: DeltaSequence,
+                    index) -> "DeltaMorphism":
+        """The library's own fresh target indices, range-checked, kept (made
+        read-only) without a copy."""
+        index = np.asarray(index, dtype=np.int64)
+        if index.size and (index.min() < 0 or index.max() >= len(target)):
+            raise ValueError(f"indices must lie in [0, {len(target)})")
+        m = cls.__new__(cls)
+        m._hold(source, target, index)
+        return m
+
+    def _hold(self, source: DeltaSequence, target: DeltaSequence, index: np.ndarray):
         if index.shape != source.positions.shape:
             raise ValueError(f"mapping has {index.size} images for "
                              f"{len(source)} source positions")
@@ -68,6 +104,8 @@ class DeltaMorphism:
         self.source = source
         self.target = target
         self.index = index
+        self._verdicts = {}
+        self._control = None        # (copy of theta, verdict)
         self._defect_table = None
 
     @property
@@ -78,22 +116,27 @@ class DeltaMorphism:
     def image(self, position) -> int:
         return int(self.target.positions[self.index[self.source.indices_of(position)]])
 
+    @_cached
     def is_injective(self) -> bool:
         return _distinct(self.index)
 
+    @_cached
     def is_morphism(self) -> bool:
         """Positive positions land on positive values, negative on negative."""
         return np.array_equal(self.source.values > 0, self.target.values[self.index] > 0)
 
+    @_cached
     def preserves_values(self) -> bool:
         return np.array_equal(self.source.values, self.target.values[self.index])
 
+    @_cached
     def _mixed_order_forward(self) -> bool:
         # for x positive, y negative, x < y: image(x) < image(y)
         pos = self.source.values > 0
         prefix_max = np.maximum.accumulate(np.where(pos, self.index, -1))
         return bool(np.all(prefix_max[~pos] < self.index[~pos]))
 
+    @_cached
     def _mixed_order_backward(self) -> bool:
         # for x positive, y negative, y < x: image(y) < image(x)
         pos = self.source.values > 0
@@ -101,6 +144,7 @@ class DeltaMorphism:
             np.where(pos, self.index, len(self.target))[::-1])[::-1]
         return bool(np.all(self.index[~pos] < suffix_min[~pos]))
 
+    @_cached
     def _capacity_ok(self) -> bool:
         # |target value| covers the total |source value| of its fiber
         load = np.zeros(len(self.target), dtype=np.int64)
@@ -124,6 +168,7 @@ class DeltaMorphism:
                 and np.array_equal(self.index, np.arange(len(self.target)))
                 and self.preserves_values())
 
+    @_cached
     def is_isomorphism_onto_image(self) -> bool:
         """Order-preserving value-preserving injection (image may be proper)."""
         return bool(np.all(np.diff(self.index) > 0)) and self.preserves_values()
@@ -175,6 +220,14 @@ def is_control_function(m: DeltaMorphism, theta: dict) -> bool:
     the positive side and strictly right on the negative side, and every
     good image must absorb at least the defect of its bad point.
     """
+    if m._control is not None and m._control[0] == theta:
+        return m._control[1]
+    verdict = _control_verdict(m, theta)
+    m._control = (dict(theta), verdict)
+    return verdict
+
+
+def _control_verdict(m: DeltaMorphism, theta: dict) -> bool:
     table = m.defect_table()
     bad = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
     good = np.fromiter(theta.values(), dtype=np.int64, count=len(theta))
@@ -219,7 +272,7 @@ def embed_to_subsequence(m: DeltaMorphism):
     run = np.cumsum(np.diff(source.values > 0, prepend=source.values[:1] > 0))
     perm = np.lexsort((slot, run))
     refined_source = DeltaSequence._adopt(source.positions, source.values[perm])
-    result = DeltaMorphism(refined_source, target, slot[perm])
+    result = DeltaMorphism._from_index(refined_source, target, slot[perm])
     assert result.is_isomorphism_onto_image()
     return refined_source, target, result
 
@@ -260,7 +313,7 @@ def fix_defects(m: DeltaMorphism, theta: dict):
     mapping = np.empty(len(new_source), dtype=np.int64)
     mapping[_after_split(b, np.arange(len(source)))] = _after_split(g, index)
     mapping[_after_split(b, b) + 1] = _after_split(g, g) + 1
-    result = DeltaMorphism(new_source, new_target, mapping)
+    result = DeltaMorphism._from_index(new_source, new_target, mapping)
     assert result.is_injective() and result.is_immersion()
     return new_source, new_target, result
 
@@ -435,24 +488,12 @@ def _reflected(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
     return DeltaMorphism(source, target, np.concatenate([ys, n_target - ys])[order])
 
 
-def rigid_extend(source: DeltaSequence, target: DeltaSequence, partial: dict,
-                 n_source: int, n_target: int) -> DeltaMorphism:
-    """Extend an injection on the positive positions by reflection.
-
-    The partial map must be injective, never move a point left, and move no
-    point by more than half the cutoff difference; the reflected extension
-    is then a one-to-one semi-immersion.
-    """
-    xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
-    if not np.array_equal(np.sort(xs), source.positive_positions):
-        raise NotRigidError("partial map must be defined exactly on the positive positions")
-    ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
-    return _rigid(source, target, xs, ys, n_source, n_target)
-
-
 def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
            ys: np.ndarray, n_source: int, n_target: int) -> DeltaMorphism:
-    """The reflected extension of xs -> ys, once the map is checked rigid."""
+    """The reflected extension of xs -> ys (xs the positive positions), once
+    the map is checked rigid: injective, never moving a point left, and
+    moving none by more than half the cutoff difference.  The extension is
+    then a one-to-one semi-immersion."""
     if not _distinct(ys):
         raise NotRigidError("partial map is not injective")
     broken = (ys < xs) | (2 * (ys - xs) > n_target - n_source)

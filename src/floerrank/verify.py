@@ -2,9 +2,11 @@
 
 Each verifier constructs the witness morphism family for its inequality and
 validates every property the construction promises; the inequality itself is
-then a comparison of the two sides' ranks, read off seifert.rank_pair.  A
-"fails" verdict on a valid input would mean an implementation bug, never new
-mathematics.
+then a comparison of the two sides' ranks, read off the witness sequences
+(the source and target of a witness map), so each delta value is evaluated
+once per call.  The degree-map verifier takes its start and end ranks from
+its sub-reports.  A "fails" verdict on a valid input would mean an
+implementation bug, never new mathematics.
 
 Degenerate inputs (S^3-like tuples and (2,3,5)) have reduced rank 0 and hat
 rank 1, so the inequalities hold trivially and no witness is built.
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morphism, seifert
+from .deltaseq import DeltaSequence
 from .errors import IllegalMoveError, NotComparableError
 from .arith import gcd
 
@@ -43,11 +46,16 @@ class VerificationReport:
         }
 
 
-def _ranks(t: seifert.SeifertTuple, report: VerificationReport, label: str):
-    """(reduced, hat) ranks of t, recorded in the report under label."""
-    red, hat = seifert.rank_pair(t)
-    report.ranks[label] = {"red": red, "hat": hat}
-    return red, hat
+def _ranks(seq: DeltaSequence, report: VerificationReport, label: str):
+    """(reduced, hat) ranks of a witness sequence, recorded in the report under label."""
+    stats = seq.rank()
+    report.ranks[label] = {"red": stats.rank_red, "hat": stats.rank_hat}
+    return stats.rank_red, stats.rank_hat
+
+
+def _require_degree(n: int):
+    if n < 1:
+        raise ValueError(f"covering degree must be >= 1, got {n}")
 
 
 def verify_branched(t: seifert.SeifertTuple, n: int,
@@ -59,17 +67,16 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     report = VerificationReport(
         statement="branched cover rank inequality",
         inputs={"tuple": list(t.multiplicities), "n": n})
+    _require_degree(n)
     if t.is_degenerate:
         report.check("degenerate source: inequality is trivial", True)
         return report
     if fiber is None:
         fiber = t.multiplicities[-1]
     report.inputs["fiber"] = fiber
-    others = tuple(p for p in t.multiplicities if p != fiber)
-    cover = seifert.make_tuple(others + (n * fiber,))
     maps = morphism.branched_cover_embeddings(t, n, fiber)
-    red, _ = _ranks(t, report, "source")
-    red_cover, _ = _ranks(cover, report, "cover")
+    red, _ = _ranks(maps[0].source, report, "source")
+    red_cover, _ = _ranks(maps[0].target, report, "cover")
     for k, m in enumerate(maps):
         report.check(f"phi_{k} is an embedding", m.is_embedding())
         report.check(f"phi_{k} preserves values", m.preserves_values())
@@ -84,13 +91,13 @@ def verify_branched_hat(t: seifert.SeifertTuple, n: int) -> VerificationReport:
     report = VerificationReport(
         statement="branched cover hat-rank inequality",
         inputs={"tuple": list(t.multiplicities), "n": n})
+    _require_degree(n)
     if t.is_degenerate:
         report.check("degenerate source: inequality is trivial", True)
         return report
-    cover = seifert.make_tuple(t.multiplicities[:-1] + (n * t.multiplicities[-1],))
     m = morphism.branched_cover_embeddings(t, n)[0]
-    _, hat = _ranks(t, report, "source")
-    _, hat_cover = _ranks(cover, report, "cover")
+    _, hat = _ranks(m.source, report, "source")
+    _, hat_cover = _ranks(m.target, report, "cover")
     report.check("phi_0 is an embedding", m.is_embedding())
     report.check("hat rank(source) <= hat rank(cover)", hat <= hat_cover)
     return report
@@ -102,11 +109,9 @@ def verify_pinch(base, q: int, r: int) -> VerificationReport:
     report = VerificationReport(
         statement="vertical pinch rank inequality",
         inputs={"base": list(base_t.multiplicities), "q": q, "r": r})
-    source_t = seifert.make_tuple(base_t.multiplicities + (q * r,))
-    target_t = seifert.make_tuple(base_t.multiplicities + (q, r))
     m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
-    red_src, _ = _ranks(source_t, report, "pinched")
-    red_tgt, _ = _ranks(target_t, report, "unpinched")
+    red_src, _ = _ranks(m.source, report, "pinched")
+    red_tgt, _ = _ranks(m.target, report, "unpinched")
     report.check("pinch map is a one-to-one semi-immersion",
                  m.is_injective() and m.is_semi_immersion())
     report.check("theta is a control function", morphism.is_control_function(m, theta))
@@ -132,8 +137,8 @@ def verify_monotone(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -> Verifi
         report.check("degenerate source: inequality is trivial", True)
         return report
     m = morphism.partial_order_immersion(t, t2)
-    red_small, _ = _ranks(t, report, "small")
-    red_large, _ = _ranks(t2, report, "large")
+    red_small, _ = _ranks(m.source, report, "small")
+    red_large, _ = _ranks(m.target, report, "large")
     report.check("normal-form map is an immersion", m.is_immersion())
     report.check("rank(small) <= rank(large)", red_small <= red_large)
     return report
@@ -195,7 +200,10 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
 
     Each move is certified with its own witness inequality: pinches through
     the pinch verifier, fiber covers through the embedding family, regular
-    covers through the cover-then-pinch chain.
+    covers through the cover-then-pinch chain.  The start and end ranks are
+    the sub-reports' ranks of those tuples.  Only the empty chain, or one
+    whose first move ends degenerate, ranks its start afresh, and a
+    degenerate end's ranks need no walk.
     """
     report = VerificationReport(
         statement="composite degree-map rank inequality",
@@ -203,6 +211,7 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
                 "moves": [[mv.kind, mv.n, list(mv.fibers)] for mv in moves]})
     current = start
     degree = 1
+    ranks = {}      # tuple -> its ranks in a sub-report
     for step, mv in enumerate(moves):
         nxt = mv.apply(current)
         degree *= mv.degree
@@ -216,9 +225,11 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
             base = [p for p in current.multiplicities if p not in (q, r)]
             sub = verify_pinch(base, q, r)
             report.check(f"{label}: witness verified", sub.verdict == "holds")
+            ranks[current], ranks[nxt] = sub.ranks["unpinched"], sub.ranks["pinched"]
         elif mv.kind == "branched_fiber" and mv.fibers[0] > mv.n:
             sub = verify_branched(nxt, mv.n, fiber=mv.fibers[0] // mv.n)
             report.check(f"{label}: witness verified", sub.verdict == "holds")
+            ranks[current], ranks[nxt] = sub.ranks["cover"], sub.ranks["source"]
         else:
             # cover branched over a regular fiber (or a fiber fully unwound
             # to multiplicity 1): chain through
@@ -229,9 +240,14 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
             sub2 = verify_pinch(base, nxt.multiplicities[-1], mv.n)
             report.check(f"{label}: cover witness verified", sub1.verdict == "holds")
             report.check(f"{label}: pinch witness verified", sub2.verdict == "holds")
+            ranks[current], ranks[nxt] = sub2.ranks["unpinched"], sub1.ranks["source"]
         current = nxt
-    red_start, _ = _ranks(start, report, "start")
-    red_end, _ = _ranks(current, report, "end")
+    for label, t in (("start", start), ("end", current)):
+        if t not in ranks:
+            red, hat = seifert.rank_pair(t)
+            ranks[t] = {"red": red, "hat": hat}
+        report.ranks[label] = dict(ranks[t])
+    red_start, red_end = report.ranks["start"]["red"], report.ranks["end"]["red"]
     report.inputs["end"] = list(current.multiplicities)
     report.ranks["degree"] = degree
     report.check("|deg| * rank(end) <= rank(start)", degree * red_end <= red_start)

@@ -12,14 +12,19 @@ witness families.
 pinch_oracle builds the pinch map and its control function one position at
 a time, from a scalar fiber projection and the scalar TwoGenSemigroup.psi
 and theta; the library builds both with array passes over all positions.
+
+rigid_extend is the dict front end of the library's rigid extension, which
+the pinch map is built with; the tests drive that extension through it.
 """
 
 from dataclasses import dataclass
 from math import prod
 
-from floerrank import seifert
+import numpy as np
+
+from floerrank import morphism, seifert
 from floerrank.deltaseq import from_seifert
-from floerrank.errors import FirstElementNegativeError, NotSemiImmersionError
+from floerrank.errors import FirstElementNegativeError, NotRigidError, NotSemiImmersionError
 from floerrank.morphism import TwoGenSemigroup
 
 
@@ -238,3 +243,17 @@ def pinch_oracle(base, q: int, r: int):
         if abs(v) > abs(target_values[image[x]]):
             theta[x] = moved(x, semi.theta) if v > 0 else n1 - moved(n1 - x, semi.theta)
     return index, theta
+
+
+def rigid_extend(source, target, partial: dict, n_source: int, n_target: int):
+    """Extend an injection on the positive positions by reflection.
+
+    The partial map must be injective, never move a point left, and move no
+    point by more than half the cutoff difference; the reflected extension
+    is then a one-to-one semi-immersion.
+    """
+    xs = np.fromiter(partial.keys(), dtype=np.int64, count=len(partial))
+    if not np.array_equal(np.sort(xs), source.positive_positions):
+        raise NotRigidError("partial map must be defined exactly on the positive positions")
+    ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
+    return morphism._rigid(source, target, xs, ys, n_source, n_target)

@@ -239,6 +239,25 @@ def test_verify_degree_cli(capsys):
     assert data["verdict"] == "holds" and data["ranks"]["degree"] == 1
 
 
+GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"][1:]) for c in GOLDEN])
+def test_verify_output_matches_golden(capsys, case):
+    # every verifier and degree-map shape, the empty chain and degenerate
+    # ends among them: stdout and exit code byte for byte
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, out, err) == (case["exit"], case["stdout"], "")
+
+
+@pytest.mark.parametrize("argv", [("2", "3", "7", "--n", "0"), ("2", "3", "7", "--n", "-2"),
+                                  ("2", "3", "5", "--n", "0")])
+def test_verify_branched_refuses_degree_below_one(capsys, argv):
+    code, out, err = run(capsys, "verify", "branched", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: covering degree must be >= 1, got {argv[-1]}\n"
+
+
 def test_verify_bad_usage(capsys):
     code, _, err = run(capsys, "verify", "pinch", "2", "3")
     assert code == 2

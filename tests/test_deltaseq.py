@@ -214,8 +214,9 @@ def test_constructor_copies_the_callers_arrays():
 
 
 def test_from_seifert_keeps_its_arrays_without_a_copy():
-    # the dense array beside the nonzeros' positions and values, about 20
-    # bytes per entry of [0, N]; a copy of both arrays would make about 24
+    # the dense half n < N/2 beside the nonzeros' positions and values,
+    # about 15.6 bytes per entry of [0, N]; the dense array over all of
+    # [0, N] made about 19.6, and a copy of both arrays about 24
     t = seifert.make_tuple([2, 3, 5, 7, 11, 13, 19])
     N = seifert.n_cutoff(t)
     seifert.normalized_invariants(t)
@@ -226,7 +227,34 @@ def test_from_seifert_keeps_its_arrays_without_a_copy():
     finally:
         tracemalloc.stop()
     assert len(ds) == 1492334
-    assert peak / (N + 1) < 21, peak / (N + 1)
+    assert peak / (N + 1) < 17, peak / (N + 1)
+
+
+def _half_range_corpus():
+    """Seeded tuples of 3 to 6 fibers, with odd and even cutoffs."""
+    rng = random.Random(11)
+    tuples = [random_tuple(rng, lengths=(3, 4, 5, 6), max_entry=30, max_product=10**5)
+              for _ in range(40)]
+    tuples += [seifert.make_tuple(ms) for ms in ([2, 3, 7], [2, 3, 13], [2, 3, 5, 7, 11, 13])]
+    assert {t.fiber_count for t in tuples} == {3, 4, 5, 6}
+    assert {seifert.n_cutoff(t) % 2 for t in tuples} == {0, 1}
+    return tuples
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 64])
+def test_half_range_from_seifert_matches_full_delta_array(monkeypatch, chunk):
+    # from_seifert evaluates n < N/2 and mirrors it; the reference is the
+    # full delta_array over [0, N] at the default chunk size.  A small chunk
+    # puts chunk boundaries (and period tables) all over the half.
+    corpus = _half_range_corpus()
+    full = [seifert.delta_array(t, seifert.n_cutoff(t)) for t in corpus]
+    if chunk is not None:
+        monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    for t, d in zip(corpus, full):
+        ds = from_seifert(t)
+        positions = np.flatnonzero(d)
+        assert np.array_equal(ds.positions, positions), t
+        assert np.array_equal(ds.values, d[positions]), t
 
 
 def test_restrictions_and_merges_keep_labels():

@@ -164,6 +164,11 @@ def test_dot_golden():
     assert root.render("dot") == (DATA / "root_2_3_7.dot").read_text()
 
 
+def test_svg_golden():
+    root = GradedRoot.from_delta_sequence(from_seifert(seifert.make_tuple([2, 3, 5, 7])))
+    assert root.render("svg") == (DATA / "root_2_3_5_7.svg").read_text()
+
+
 def test_dot_bare_ray_mentions_stabilization():
     dot = GradedRoot.from_tau([0]).render("dot")
     assert "stem" in dot and "stabilizes" in dot

@@ -27,10 +27,10 @@ from floerrank.morphism import (
     is_control_function,
     partial_order_immersion,
     pinch_semi_immersion,
-    rigid_extend,
 )
 
 from conftest import random_tuple
+from morphism_oracle import rigid_extend
 from semigroup_oracle import membership
 
 
@@ -56,6 +56,20 @@ def test_mapping_is_a_position_sequence_stored_as_target_indices():
         DeltaMorphism(src, tgt, [9, 10])
     with pytest.raises(ValueError, match="3 images for 2 source positions"):
         DeltaMorphism(src, tgt, [4, 9, 12])
+
+
+def test_from_index_keeps_checked_indices():
+    src = from_values([1, -1])
+    tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
+    index = np.array([1, 2])
+    m = DeltaMorphism._from_index(src, tgt, index)
+    assert m.index is index and not index.flags.writeable
+    assert m.mapping.tolist() == [9, 12] and m.is_immersion()
+    for bad in ([1, 3], [-1, 2]):
+        with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
+            DeltaMorphism._from_index(src, tgt, np.array(bad))
+    with pytest.raises(ValueError, match="3 images for 2 source positions"):
+        DeltaMorphism._from_index(src, tgt, np.array([0, 1, 2]))
 
 
 def test_constant_map_not_morphism():

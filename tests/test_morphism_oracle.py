@@ -5,7 +5,10 @@ on the witness families of acceptance criterion 5, on a perturbed corpus
 that breaks those witnesses in four known ways, and on random maps between
 random abstract delta sequences.  The pinch construction is compared with
 the oracle's scalar one on criterion 5's pinches, a seeded corpus and the
-pinches the degree-map verifier builds.
+pinches the degree-map verifier builds.  A map keeps its verdicts: on the
+same families and corpus, each cached verdict is compared with a fresh
+map's, and the maps the repairs build from target indices with the ones
+the public constructor builds from positions.
 """
 
 import random
@@ -278,6 +281,75 @@ def test_moved_image_breaks_only_backward_order():
     oracle = morphism_oracle.from_morphism(mutant)
     assert oracle.is_immersion() and not oracle.is_embedding()
     assert mutant.is_immersion() and not mutant.is_embedding()
+
+
+# -- cached verdicts and maps built from indices --------------------------------
+
+
+def _fresh(m):
+    return DeltaMorphism(m.source, m.target, m.mapping)
+
+
+def _non_control(m, theta):
+    """A dict that is not a control function for the pinch map m."""
+    if theta:
+        b = next(iter(theta))
+        return {**theta, b: b}          # a bad point paired with itself
+    return {int(m.source.positions[0]): int(m.source.positions[-1])}
+
+
+def assert_cached_verdicts_match_fresh(m, theta=None):
+    fresh = _fresh(m)
+    first = verdicts(m)
+    m.preserves_values()
+    assert verdicts(m) == first == verdicts(fresh)
+    # every kept verdict, the private order and capacity parts among them
+    assert {"is_injective", "is_morphism", "preserves_values"} <= set(m._verdicts)
+    for name, verdict in m._verdicts.items():
+        assert verdict == getattr(fresh, name)(), name
+    if theta is None:
+        return
+    other = _non_control(m, theta)
+    assert morphism.is_control_function(m, theta)
+    assert not morphism.is_control_function(m, other)
+    assert not morphism.is_control_function(fresh, other)
+    assert morphism.is_control_function(m, theta)
+    # the cache holds a copy: a dict changed after its check is checked anew
+    changed = dict(other)
+    assert not morphism.is_control_function(m, changed)
+    changed.clear()
+    changed.update(theta)
+    assert morphism.is_control_function(m, changed)
+
+
+def test_cached_verdicts_match_a_fresh_map():
+    kinds = set()
+    for kind, m, theta in criterion_05_families():
+        assert_cached_verdicts_match_fresh(m, theta)
+        kinds.add(kind)
+    assert kinds == {"branched", "comparison", "pinch"}
+    rng = random.Random(7)
+    for m in _small_witnesses():
+        for perturb in PERTURBATIONS.values():
+            index = perturb(m, rng)
+            if index is not None:
+                assert_cached_verdicts_match_fresh(
+                    DeltaMorphism(m.source, m.target, m.target.positions[index]))
+
+
+def test_repairs_from_indices_match_the_public_constructor():
+    repaired = 0
+    for kind, m, theta in criterion_05_families():
+        if kind == "pinch":
+            result = morphism.fix_defects(m, theta)[2]
+        elif kind == "branched":
+            result = morphism.embed_to_subsequence(m)[2]
+        else:
+            continue
+        assert np.array_equal(_fresh(result).index, result.index)
+        assert not result.index.flags.writeable
+        repaired += 1
+    assert repaired > 400
 
 
 # -- random maps between random sequences -----------------------------------

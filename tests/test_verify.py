@@ -50,6 +50,15 @@ def test_verify_branched_hat():
     assert verify.verify_branched_hat(T(2, 5, 7), 3).verdict == "holds"
 
 
+@pytest.mark.parametrize("verifier", [verify.verify_branched, verify.verify_branched_hat])
+@pytest.mark.parametrize("ms, n", [((2, 3, 7), 0), ((2, 3, 7), -1), ((2, 3, 5), 0)])
+def test_branched_verifiers_refuse_degree_below_one(verifier, ms, n):
+    # before the cover tuple (with an entry n * fiber < 1) is built, and
+    # before a degenerate source is waved through
+    with pytest.raises(ValueError, match=f"^covering degree must be >= 1, got {n}$"):
+        verifier(T(*ms), n)
+
+
 def test_verify_pinch_reference_case():
     report = verify.verify_pinch([2, 3], 5, 7)
     assert report.verdict == "holds"
@@ -271,6 +280,69 @@ def test_each_witness_builds_each_delta_sequence_once(monkeypatch):
     calls.clear()
     assert verify.verify_branched(T(2, 3, 7), 5).verdict == "holds"
     assert len(calls) == 2
+
+
+def _count_walks(monkeypatch):
+    """Count the rank walks of non-degenerate tuples (degenerate ones walk nothing)."""
+    walked = []
+    original = seifert.walk_statistics
+
+    def counting(t, *args, **kwargs):
+        if not t.is_degenerate:
+            walked.append(t.multiplicities)
+        return original(t, *args, **kwargs)
+
+    monkeypatch.setattr(seifert, "walk_statistics", counting)
+    return walked
+
+
+def test_verifiers_read_ranks_off_their_witnesses(monkeypatch):
+    walked = _count_walks(monkeypatch)
+    reports = [verify.verify_branched(T(2, 3, 7), 5), verify.verify_pinch([2, 3], 5, 7),
+               verify.verify_monotone(T(2, 3, 7), T(2, 3, 13))]
+    hat = verify.verify_branched_hat(T(2, 3, 11), 7)
+    assert walked == []
+    monkeypatch.undo()
+    for report in reports:
+        assert report.verdict == "holds"
+        _assert_ranks_match_oracles(report)
+    assert hat.verdict == "holds"
+    for label, ms in (("source", (2, 3, 11)), ("cover", (2, 3, 77))):
+        red, rank_hat = seifert.rank_pair(T(*ms))
+        assert hat.ranks[label] == {"red": red, "hat": rank_hat}
+
+
+# (start, moves, the tuples whose ranks are walked, whether the end is degenerate)
+DEGREE_CHAINS = [
+    (T(2, 3, 5, 7), [DegreeMove("pinch", fibers=(5, 7))], [], False),
+    (T(2, 3, 35), [DegreeMove("branched_fiber", n=5, fibers=(35,))], [], False),
+    (T(2, 3, 7, 11), [DegreeMove("branched_regular", n=11)], [], False),
+    (T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))], [], False),
+    (T(3, 4, 5, 7, 11), [DegreeMove("pinch", fibers=(4, 11)),
+                         DegreeMove("branched_regular", n=5)], [], False),
+    # no sub-report: the empty chain ranks its start (= end) once
+    (T(2, 3, 7), [], [(2, 3, 7)], False),
+    (T(2, 3, 5), [], [], True),
+    # a degenerate end needs no walk; a first move that ends degenerate
+    # leaves the start to be ranked afresh
+    (T(2, 3, 55), [DegreeMove("branched_fiber", n=5, fibers=(55,)),
+                   DegreeMove("branched_fiber", n=11, fibers=(11,))], [], True),
+    (T(2, 3, 7), [DegreeMove("branched_regular", n=7)], [(2, 3, 7)], True),
+]
+
+
+@pytest.mark.parametrize("start, moves, walks, degenerate_end", DEGREE_CHAINS)
+def test_degree_map_ranks_match_rank_pair(monkeypatch, start, moves, walks, degenerate_end):
+    walked = _count_walks(monkeypatch)
+    report = verify.verify_degree_map(start, moves)
+    assert walked == walks
+    assert report.verdict == "holds"
+    monkeypatch.undo()
+    end = seifert.make_tuple(report.inputs["end"])
+    assert end.is_degenerate == degenerate_end
+    for label, t in (("start", start), ("end", end)):
+        red, hat = seifert.rank_pair(t)
+        assert report.ranks[label] == {"red": red, "hat": hat}, label
 
 
 def test_scan_hat_monotonicity_small():
