@@ -57,8 +57,6 @@ class BotanyResult:
     n: int
     tuples: tuple           # canonical tuples, sorted lexicographically
     includes_s3: bool       # S^3 belongs to the rank-0 class
-    l_max: int
-    p_max: int
 
     def to_json(self) -> dict:
         out = {"n": self.n, "tuples": [list(t) for t in self.tuples]}
@@ -222,7 +220,7 @@ def _rows_upto(n_max: int, counts) -> dict:
     return {n: tuple(sorted(ts)) for n, ts in buckets.items()}
 
 
-_ROW_ZERO = BotanyResult(n=0, tuples=((2, 3, 5),), includes_s3=True, l_max=3, p_max=5)
+_ROW_ZERO = BotanyResult(n=0, tuples=((2, 3, 5),), includes_s3=True)
 
 
 def solve(n: int, counts: Counter = None) -> BotanyResult:
@@ -232,9 +230,7 @@ def solve(n: int, counts: Counter = None) -> BotanyResult:
     """
     if n == 0:
         return _ROW_ZERO
-    l_max, p_max = bounds(n)
-    return BotanyResult(n=n, tuples=_rows_upto(n, counts)[n], includes_s3=False,
-                        l_max=l_max, p_max=p_max)
+    return BotanyResult(n=n, tuples=_rows_upto(n, counts)[n], includes_s3=False)
 
 
 def table(n_max: int, counts: Counter = None) -> dict:
@@ -245,9 +241,7 @@ def table(n_max: int, counts: Counter = None) -> dict:
     if n_max == 0:
         return rows
     for n, tuples in _rows_upto(n_max, counts).items():
-        own_l, own_p = bounds(n)
-        rows[n] = BotanyResult(n=n, tuples=tuples, includes_s3=False,
-                               l_max=own_l, p_max=own_p)
+        rows[n] = BotanyResult(n=n, tuples=tuples, includes_s3=False)
     return rows
 
 

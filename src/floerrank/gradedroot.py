@@ -7,10 +7,14 @@ vertices per grading, exactly one per grading at and above the
 stabilization grading max(tau).
 
 The tree only depends on the local extrema of tau, so we store the
-compressed alternating min/max sequence and build explicit vertices only
-when a vertex-level query or a rendering asks for them.  A vertex at grading
+compressed alternating min/max sequence and build the explicit tree only
+when a vertex-level query or a rendering asks for it.  A vertex at grading
 h is a maximal run of consecutive extrema that are all <= h; one top-down
 sweep over the gradings finds the runs and each run's parent one grading up.
+The same build places the columns the renders draw, in one bottom-up pass
+over the sweep's edges: the leaves are the minima, four columns apart in
+ray order, and a parent sits at the integer mean of its children's columns.
+vertices(), edges() and every render read that one cached structure.
 Summary ranks come straight from the extrema:
 with minima v_1..v_m and maxima u_1..u_{m-1},
 
@@ -131,7 +135,7 @@ class GradedRoot:
         out = Counter(self.minima) + Counter(u - 1 for u in self.maxima)
         return dict(sorted(out.items()))
 
-    # -- explicit vertices (one top-down sweep over the gradings) ----------
+    # -- explicit tree (one top-down sweep, then its columns bottom-up) -----
 
     def _build_structure(self):
         if self._structure is not None:
@@ -164,9 +168,19 @@ class GradedRoot:
                 vid = (first, h)
                 vertices.append(Vertex(vertex_id=vid, grading=h))
                 edges.append((vid, (above[bisect_right(above, first) - 1], h + 1)))
+        # leaves (the minima) at 0, 4, 8, ...; the sweep's edges reversed reach
+        # each child after its own children, and a parent takes their mean
+        columns = {(2 * j, v): 4 * j for j, v in enumerate(self.minima)}
+        below = {}
+        for child, parent in reversed(edges):
+            if child not in columns:
+                columns[child] = sum(below[child]) // len(below[child])
+            below.setdefault(parent, []).append(columns[child])
+        if edges:
+            columns[(0, top)] = sum(below[(0, top)]) // len(below[(0, top)])
         vertices.sort(key=lambda v: v.vertex_id)
         edges.sort()
-        self._structure = (vertices, edges)
+        self._structure = (vertices, edges, columns)
         return self._structure
 
     def vertices(self) -> list:
@@ -185,31 +199,9 @@ class GradedRoot:
             return self._render_svg()
         raise UnknownFormatError(f"unknown format {format!r}")
 
-    def _layout(self):
-        """Column per vertex: leaves in child order, parents at midpoints."""
-        _, edges = self._build_structure()
-        children = {}
-        for child, parent in edges:
-            children.setdefault(parent, []).append(child)
-        root = (0, self.stabilization)
-        cols = {}
-        next_slot = 0
-        stack = [(root, False)]
-        while stack:
-            vid, expanded = stack.pop()
-            kids = sorted(children.get(vid, []))
-            if not kids:
-                cols[vid] = next_slot
-                next_slot += 4
-            elif expanded:
-                cols[vid] = sum(cols[k] for k in kids) // len(kids)
-            else:
-                stack.append((vid, True))
-                stack.extend((k, False) for k in reversed(kids))
-        return cols, dict(edges)
-
     def _render_ascii(self) -> str:
-        cols, parent_of = self._layout()
+        _, edges, cols = self._build_structure()
+        parent_of = dict(edges)
         lo = min(self.minima)
         width = max(cols.values()) + 1
         label = max(len(str(h)) for h in range(lo, self.stabilization + 1))
@@ -234,11 +226,11 @@ class GradedRoot:
         return "\n".join(line.rstrip() for line in lines) + "\n"
 
     def _render_dot(self) -> str:
-        _, edges = self._build_structure()
+        vertices, edges, _ = self._build_structure()
         out = ["digraph gradedroot {"]
         out.append(f'  // stabilizes: one vertex per grading >= {self.stabilization}')
         out.append("  node [shape=circle];")
-        for v in self.vertices():
+        for v in vertices:
             out.append(f'  "{_vname(v.vertex_id)}" [label="{v.grading}"];')
         stem = (0, self.stabilization)
         out.append(f'  "stem" [label="{self.stabilization + 1}", style=dashed];')
@@ -249,8 +241,7 @@ class GradedRoot:
         return "\n".join(out) + "\n"
 
     def _render_svg(self) -> str:
-        cols, _ = self._layout()
-        _, edges = self._build_structure()
+        _, edges, cols = self._build_structure()
         lo = min(self.minima)
         scale, margin = 24, 30
 

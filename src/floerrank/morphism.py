@@ -369,7 +369,7 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
     xs = source.positive_positions
     k, coords = _normal_forms(xs, t, n1)
     images = p2 * k + sum(coord * (p2 // q) for coord, q in zip(coords, qs))
-    return _reflected(source, target, xs, images, n1, seifert.n_cutoff(t2))
+    return _reflected(source, target, images)
 
 
 def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
@@ -478,14 +478,17 @@ class TwoGenSemigroup:
 # -- rigid maps and the pinch morphism ---------------------------------------
 
 
-def _reflected(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
-               ys: np.ndarray, n_source: int, n_target: int) -> DeltaMorphism:
-    """xs -> ys elementwise, n_source - xs -> n_target - ys (int64 arrays)."""
-    keys = np.concatenate([xs, n_source - xs])
-    order = np.argsort(keys, kind="stable")
-    if not np.array_equal(keys[order], source.positions):
-        raise ValueError("the reflected map does not cover the source positions exactly")
-    return DeltaMorphism(source, target, np.concatenate([ys, n_target - ys])[order])
+def _reflected(source: DeltaSequence, target: DeltaSequence, ys: np.ndarray) -> DeltaMorphism:
+    """The source's positive positions -> ys elementwise, and the reflection
+    N - x -> N' - y of each.  Both are Seifert sequences, which hold N - p at
+    index len - 1 - i where they hold p at i, so searching ys alone places
+    every image; an image outside the target is refused."""
+    pos = np.flatnonzero(source.values > 0)
+    found = target.indices_of(ys)
+    index = np.full(len(source), -1, dtype=np.int64)   # a hole fails _from_index
+    index[pos] = found
+    index[len(source) - 1 - pos] = len(target) - 1 - found
+    return DeltaMorphism._from_index(source, target, index)
 
 
 def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
@@ -501,7 +504,7 @@ def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
         i = np.argmax(broken)
         raise NotRigidError(f"{xs[i]} -> {ys[i]} moves left or by more than half "
                             "the cutoff difference")
-    return _reflected(source, target, xs, ys, n_source, n_target)
+    return _reflected(source, target, ys)
 
 
 def pinch_semi_immersion(base, q: int, r: int):

@@ -12,6 +12,7 @@ Degenerate inputs (S^3-like tuples and (2,3,5)) have reduced rank 0 and hat
 rank 1, so the inequalities hold trivially and no witness is built.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,12 @@ from . import morphism, seifert
 from .deltaseq import DeltaSequence
 from .errors import IllegalMoveError, NotComparableError
 from .arith import gcd
+
+# scans of more candidate tuples are refused: a scan ranks every candidate and
+# compares every pair, so its time and its list of violations grow as the
+# square of the count.  On a 2-core host, bound 25 at length 3 (2,024
+# candidates) takes 0.4 s and bound 33 (4,960) 2 s.
+MAX_SCAN_CANDIDATES = 5_000
 
 
 @dataclass
@@ -262,8 +269,16 @@ def scan_hat_monotonicity(bound: int, length: int = 3) -> list:
     monotone in general: for three fibers the first violation appears at
     bound 11, (5,8,11) <= (5,9,11) with hat ranks 35 > 31.  The reduced rank
     is the monotone one (the partial-order inequality, see verify_monotone).
+    A scan of more than MAX_SCAN_CANDIDATES candidate tuples is refused with
+    a ValueError before anything is ranked.
     """
     from itertools import combinations
+    n, k = max(bound - 1, 0), max(length, 0)
+    # once min(k, n - k) > 8, comb(n, k) >= comb(18, 9) = 48,620: refused
+    # without computing a count that may run to millions of digits
+    if min(k, n - k) > 8 or math.comb(n, k) > MAX_SCAN_CANDIDATES:
+        raise ValueError(f"a scan to bound {bound} at length {length} has more than "
+                         f"the {MAX_SCAN_CANDIDATES} candidate tuples a scan may have")
     tuples = []
     for combo in combinations(range(2, bound + 1), length):
         try:

@@ -1,12 +1,14 @@
-"""Oracles for GradedRoot: the union-find tree and per-grading ranks.
+"""Oracles for GradedRoot: the union-find tree, its layout and per-grading ranks.
 
 Each extremum starts one upward ray; rays i and i+1 are glued at every
 grading >= max(e[i], e[i+1]).  The construction unions those cells and reads
 vertices and edges off the classes.  The library builds the same tree by one
-top-down sweep over the gradings; the tests compare the two.  The per-grading
-hat and reduced ranks are likewise summed grading by grading here, and the
-vertex counts and leaves recounted off the explicit tree, where the library
-counts extrema.
+top-down sweep over the gradings; the tests compare the two.  The columns
+the renders draw are placed here by a depth-first walk of a children map,
+where the library places them in the sweep's own bottom-up pass.  The
+per-grading hat and reduced ranks are likewise summed grading by grading
+here, and the vertex counts and leaves recounted off the explicit tree,
+where the library counts extrema.
 """
 
 from collections import Counter
@@ -71,17 +73,46 @@ def union_find_structure(extrema) -> tuple:
     return sorted(vertices.values(), key=lambda v: v.vertex_id), edges
 
 
+def _dfs_columns(edges, stabilization: int) -> dict:
+    """Column per vertex: leaves in child order, parents at midpoints."""
+    children = {}
+    for child, parent in edges:
+        children.setdefault(parent, []).append(child)
+    cols = {}
+    next_slot = 0
+    stack = [((0, stabilization), False)]
+    while stack:
+        vid, expanded = stack.pop()
+        kids = sorted(children.get(vid, []))
+        if not kids:
+            cols[vid] = next_slot
+            next_slot += 4
+        elif expanded:
+            cols[vid] = sum(cols[k] for k in kids) // len(kids)
+        else:
+            stack.append((vid, True))
+            stack.extend((k, False) for k in reversed(kids))
+    return cols
+
+
+def dfs_layout(root: GradedRoot) -> dict:
+    """Columns of the root's vertices by a depth-first walk of its edges."""
+    return _dfs_columns(root.edges(), root.stabilization)
+
+
 def oracle_root(extrema) -> GradedRoot:
-    """A GradedRoot whose explicit tree is the union-find one, so its
-    dot/svg renders draw the oracle's vertices and edges."""
+    """A GradedRoot whose explicit tree is the union-find one, laid out by
+    the depth-first walk, so its renders draw the oracle's vertices, edges
+    and columns."""
     root = GradedRoot(extrema)
-    root._structure = union_find_structure(root.extrema)
+    vertices, edges = union_find_structure(root.extrema)
+    root._structure = (vertices, edges, _dfs_columns(edges, root.stabilization))
     return root
 
 
 def row_scan_ascii(root: GradedRoot) -> str:
     """The ascii render that scans every vertex once per grading."""
-    cols, parent_of = root._layout()
+    cols, parent_of = dfs_layout(root), dict(root.edges())
     lo = min(root.minima)
     width = max(cols.values()) + 1
     label = max(len(str(h)) for h in range(lo, root.stabilization + 1))

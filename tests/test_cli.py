@@ -299,6 +299,22 @@ def test_scan_cli(capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_scan_refuses_a_huge_bound_at_once():
+    # scan 100000 has about 1.7e14 candidate tuples; it is refused before any
+    # is ranked
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "floerrank.cli", "scan", "100000"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.monotonic() - started < 1.0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: a scan to bound 100000 at length 3 has more "
+                                  "than the "), proc.stderr
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "ranks.jsonl"
     code, _, _ = run(capsys, "botany", "1", "--cache", str(cache))

@@ -1,5 +1,6 @@
 import time
 import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -105,22 +106,58 @@ def test_seifert_roots_match_rank_formulas(rng):
         assert root.total_hat() == rep.rank_hat
 
 
-def test_structure_matches_union_find_oracle(rng):
+def _seeded_roots(rng):
+    """The figure root, a bare ray, 300 random tau walks and 100 roots of
+    random 3- and 4-fiber tuples."""
     taus = [[-2, -1, -2, 0, -2], [0]]
     taus += [from_values(random_delta_values(rng, max_len=14, max_abs=6)).tau()
              for _ in range(300)]
     roots = [GradedRoot.from_tau(tau) for tau in taus]
     tuples = [random_tuple(rng, lengths=(3, 4), max_product=2000) for _ in range(100)]
     assert {len(t.multiplicities) for t in tuples} == {3, 4}
-    roots += [GradedRoot.from_delta_sequence(from_seifert(t)) for t in tuples]
-    for root in roots:
+    return roots + [GradedRoot.from_delta_sequence(from_seifert(t)) for t in tuples]
+
+
+def test_structure_matches_union_find_oracle(rng):
+    for root in _seeded_roots(rng):
         oracle = root_oracle.oracle_root(root.extrema)
-        assert (root.vertices(), root.edges()) == oracle._structure, root.extrema
+        assert (root.vertices(), root.edges()) == \
+            (oracle.vertices(), oracle.edges()), root.extrema
         assert root.render("ascii") == root_oracle.row_scan_ascii(oracle), root.extrema
         for fmt in ("dot", "svg"):
             assert root.render(fmt) == oracle.render(fmt), (root.extrema, fmt)
         assert root.hat_ranks_by_degree() == \
             root_oracle.per_grading_hat_ranks(root), root.extrema
+
+
+def test_columns_match_dfs_layout(rng):
+    roots = _seeded_roots(rng)
+    roots += [GradedRoot.from_tau(dense_tau(seifert.make_tuple(ms)))
+              for ms in ([2, 3, 5, 7, 11], [2, 3, 5, 7, 13])]
+    for root in roots:
+        assert root._build_structure()[2] == root_oracle.dfs_layout(root), root.extrema
+
+
+def test_renders_read_one_structure_sweep(monkeypatch):
+    root = GradedRoot.from_delta_sequence(from_seifert(seifert.make_tuple([2, 3, 5, 7])))
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return bisect_right(*args)
+
+    # the sweep finds each edge's parent with one search
+    monkeypatch.setattr(gradedroot, "bisect_right", counted)
+    renders = {fmt: root.render(fmt) for fmt in ("ascii", "dot", "svg")}
+    assert len(searches) == len(root.edges()) == len(root.vertices()) - 1
+    # the renders draw the structure's own columns: shifted, they shift
+    vertices, edges, columns = root._build_structure()
+    root._structure = (vertices, edges, {v: c + 4 for v, c in columns.items()})
+    label = max(len(str(min(root.minima))), len(str(root.stabilization))) + 1
+    assert root.render("ascii") == "".join(
+        line[:label] + "    " + line[label:] for line in renders["ascii"].splitlines(True))
+    assert root.render("svg") != renders["svg"]
+    assert root.render("dot") == renders["dot"]
 
 
 def test_hat_ranks_by_degree_ignore_the_grading_span():

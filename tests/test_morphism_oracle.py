@@ -7,8 +7,8 @@ random abstract delta sequences.  The pinch construction is compared with
 the oracle's scalar one on criterion 5's pinches, a seeded corpus and the
 pinches the degree-map verifier builds.  A map keeps its verdicts: on the
 same families and corpus, each cached verdict is compared with a fresh
-map's, and the maps the repairs build from target indices with the ones
-the public constructor builds from positions.
+map's, and the maps the repairs and the reflected witnesses build from
+target indices with the ones the public constructor builds from positions.
 """
 
 import random
@@ -350,6 +350,30 @@ def test_repairs_from_indices_match_the_public_constructor():
         assert not result.index.flags.writeable
         repaired += 1
     assert repaired > 400
+
+
+def test_reflected_maps_match_the_public_constructor():
+    # the comparison and pinch witnesses search only the positive positions'
+    # images and place each reflection N - x -> N' - y by index; the public
+    # constructor searches every image
+    rng = random.Random(12)
+    cases = [(t, t2, morphism.partial_order_immersion(t, t2))
+             for t, t2 in _random_comparable_pairs(rng, 60)]
+    for base, q, r in _random_pinch_cases(rng, 40):
+        cases.append((seifert.make_tuple(base.multiplicities + (q * r,)),
+                      seifert.make_tuple(base.multiplicities + (q, r)),
+                      morphism.pinch_semi_immersion(base.multiplicities, q, r)[0]))
+    for t, t2, m in cases:
+        n_source, n_target = seifert.n_cutoff(t), seifert.n_cutoff(t2)
+        positive = m.source.values > 0
+        image = {}
+        for x, y in zip(m.source.positions[positive].tolist(), m.mapping[positive].tolist()):
+            image[x], image[n_source - x] = y, n_target - y
+        assert sorted(image) == m.source.positions.tolist(), (t, t2)
+        public = DeltaMorphism(m.source, m.target, [image[x] for x in sorted(image)])
+        assert np.array_equal(m.index, public.index), (t, t2)
+        assert not m.index.flags.writeable
+    assert {len(t.multiplicities) for t, _, _ in cases} == {3, 4, 5}
 
 
 # -- random maps between random sequences -----------------------------------

@@ -350,6 +350,16 @@ def test_scan_hat_monotonicity_small():
     assert verify.scan_hat_monotonicity(9) == []
 
 
+def test_scan_hat_monotonicity_refuses_too_many_candidates():
+    # bound 25 at length 3 (2,024 candidates) and 13 at length 4 (495) run;
+    # bound 34 at length 3 has 5,456 and a half-length scan of 10^9 has a
+    # count the refusal never computes
+    assert math.comb(24, 3) <= verify.MAX_SCAN_CANDIDATES < math.comb(33, 3)
+    for bound, length in ((34, 3), (10**9, 5 * 10**8)):
+        with pytest.raises(ValueError, match="candidate tuples a scan may have"):
+            verify.scan_hat_monotonicity(bound, length=length)
+
+
 def test_scan_hat_monotonicity_finds_known_violations():
     # The hat rank (2 * leaves - 1) is NOT monotone under the componentwise
     # order.  The first pair appears at bound 11; criterion 10 checks the
