@@ -14,7 +14,12 @@ sweep over the gradings finds the runs and each run's parent one grading up.
 The same build places the columns the renders draw, in one bottom-up pass
 over the sweep's edges: the leaves are the minima, four columns apart in
 ray order, and a parent sits at the integer mean of its children's columns.
-vertices(), edges() and every render read that one cached structure.
+vertices(), edges() and every render read that one cached structure.  The
+renders are array passes over it: the ascii render paints the stem, the
+vertex marks, the links and the grading labels straight into the bytes of
+its output, each row ending at its right-most mark, so its memory follows
+the output and not the rows times the columns of the drawing; the svg and
+dot renders write each block of lines in one %-format pass.
 Summary ranks come straight from the extrema:
 with minima v_1..v_m and maxima u_1..u_{m-1},
 
@@ -26,6 +31,9 @@ with minima v_1..v_m and maxima u_1..u_{m-1},
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmptySequenceError, UnknownFormatError
 
@@ -188,7 +196,7 @@ class GradedRoot:
 
     def edges(self) -> list:
         """(child id, parent id) pairs inside the window."""
-        return self._build_structure()[1]
+        return list(self._build_structure()[1])
 
     def render(self, format: str = "ascii") -> str:
         if format == "ascii":
@@ -199,79 +207,93 @@ class GradedRoot:
             return self._render_svg()
         raise UnknownFormatError(f"unknown format {format!r}")
 
+    def _table(self, ids: list) -> tuple:
+        """Depth below the top grading and column of each vertex id, as arrays.
+
+        Depths, unlike gradings, are bounded by the tree's height, so they
+        fit in int64 however large the gradings are.
+        """
+        top, cols = self.stabilization, self._build_structure()[2]
+        return (np.fromiter((top - h for _, h in ids), np.int64, len(ids)),
+                np.fromiter(map(cols.__getitem__, ids), np.int64, len(ids)))
+
     def _render_ascii(self) -> str:
-        _, edges, cols = self._build_structure()
-        parent_of = dict(edges)
-        lo = min(self.minima)
-        width = max(cols.values()) + 1
-        label = max(len(str(h)) for h in range(lo, self.stabilization + 1))
-        lines = [" " * (label + 1) + _paint(width, {cols[(0, self.stabilization)]: ":"})]
-        by_grading = {}
-        for v, c in cols.items():
-            by_grading.setdefault(v[1], []).append((v, c))
-        for h in range(self.stabilization, lo - 1, -1):
-            row = {c: "o" for _, c in by_grading[h]}
-            lines.append(f"{h:>{label}} " + _paint(width, row))
-            if h > lo:
-                conn = {}
-                for v, c in by_grading[h - 1]:
-                    pc = cols[parent_of[v]]
-                    if pc == c:
-                        conn[c] = "|"
-                    elif pc > c:
-                        conn[c + 1] = "/"
-                    else:
-                        conn[c - 1] = "\\"
-                lines.append(" " * (label + 1) + _paint(width, conn))
-        return "\n".join(line.rstrip() for line in lines) + "\n"
+        """Paint the tree straight into the bytes of the output.
+
+        Row 0 holds the stem, row 2k + 1 the vertices at grading top - k and
+        row 2k + 2 the links from the vertices at top - k - 1 up to them.  The
+        root is the head of the table below and its link is the stem.  Each
+        row ends after its right-most mark, so the offset of every row is
+        known before anything is painted, and the only buffer is the output's
+        own: no grid of rows times columns is built.
+        """
+        top, lo = self.stabilization, min(self.minima)
+        _, edges, _ = self._build_structure()
+        # the root, then each edge's child and parent
+        depth, col = self._table([(0, top)] + list(chain.from_iterable(edges)))
+        depth = np.concatenate((depth[:1], depth[1::2]))
+        parent = np.concatenate((col[:1], col[2::2]))
+        col = np.concatenate((col[:1], col[1::2]))
+        step = np.sign(parent - col)
+        label = max(len(str(lo)), len(str(top)))
+        left = label + 1  # a grading label and a space precede the tree
+        col += left
+        link = col + step
+        char = np.frombuffer(b"\\|/", np.uint8)[step + 1]
+        char[0] = ord(":")
+        mark_row = 2 * depth + 1
+        link_row = mark_row - 1
+        end = np.zeros(2 * (top - lo) + 2, np.int64)
+        np.maximum.at(end, mark_row, col + 1)
+        np.maximum.at(end, link_row, link + 1)
+        start = np.cumsum(end + 1) - (end + 1)
+        out = np.full(start[-1] + end[-1] + 1, ord(" "), np.uint8)
+        labels = (f"%{label}d " * (top - lo + 1)) % tuple(range(top, lo - 1, -1))
+        out[start[1::2, None] + np.arange(left)] = \
+            np.frombuffer(labels.encode(), np.uint8).reshape(-1, left)
+        out[start[mark_row] + col] = ord("o")
+        out[start[link_row] + link] = char
+        out[start + end] = ord("\n")
+        return str(out.data, "ascii")
 
     def _render_dot(self) -> str:
         vertices, edges, _ = self._build_structure()
-        out = ["digraph gradedroot {"]
-        out.append(f'  // stabilizes: one vertex per grading >= {self.stabilization}')
-        out.append("  node [shape=circle];")
-        for v in vertices:
-            out.append(f'  "{_vname(v.vertex_id)}" [label="{v.grading}"];')
-        stem = (0, self.stabilization)
-        out.append(f'  "stem" [label="{self.stabilization + 1}", style=dashed];')
-        for child, parent in edges:
-            out.append(f'  "{_vname(child)}" -> "{_vname(parent)}";')
-        out.append(f'  "{_vname(stem)}" -> "stem" [style=dashed];')
-        out.append("}")
-        return "\n".join(out) + "\n"
+        top = self.stabilization
+        dot = "".join((
+            "digraph gradedroot {\n",
+            f"  // stabilizes: one vertex per grading >= {top}\n",
+            "  node [shape=circle];\n",
+            _fill('  "v%d_%d" [label="%d"];\n', [(*v.vertex_id, v.grading) for v in vertices]),
+            f'  "stem" [label="{top + 1}", style=dashed];\n',
+            _fill('  "v%d_%d" -> "v%d_%d";\n', [child + parent for child, parent in edges]),
+            f'  "v0_{top}" -> "stem" [style=dashed];\n',
+            "}\n"))
+        # a vertex's name writes the minus sign of its grading as "m"
+        return dot.replace("_-", "_m")
 
     def _render_svg(self) -> str:
-        _, edges, cols = self._build_structure()
-        lo = min(self.minima)
+        vertices, edges, _ = self._build_structure()
+        top, lo = self.stabilization, min(self.minima)
         scale, margin = 24, 30
 
-        def xy(vid):
-            return (margin + cols[vid] * scale // 2,
-                    margin + (self.stabilization - vid[1]) * scale)
+        def xy(ids):
+            depth, col = self._table(ids)
+            return np.column_stack((margin + col * scale // 2, margin + depth * scale))
 
-        width = margin * 2 + max(c for c in cols.values()) * scale // 2
-        height = margin * 2 + (self.stabilization - lo) * scale
-        parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
-        for child, parent in edges:
-            (x1, y1), (x2, y2) = xy(child), xy(parent)
-            parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>')
-        for vid in sorted(cols):
-            x, y = xy(vid)
-            parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
-        for h in range(lo, self.stabilization + 1):
-            y = margin + (self.stabilization - h) * scale
-            parts.append(f'<text x="2" y="{y + 4}" font-size="10">{h}</text>')
-        parts.append("</svg>")
-        return "\n".join(parts) + "\n"
+        ends = xy(list(chain.from_iterable(edges)))  # each edge's child, then parent
+        centres = xy([v.vertex_id for v in vertices])
+        return "".join((
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{centres[:, 0].max() + margin}" '
+            f'height="{margin * 2 + (top - lo) * scale}">\n',
+            _fill('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>\n',
+                  ends.reshape(-1, 4).tolist()),
+            _fill('<circle cx="%d" cy="%d" r="4" fill="black"/>\n', centres.tolist()),
+            _fill('<text x="2" y="%d" font-size="10">%d</text>\n',
+                  list(zip(range(margin + (top - lo) * scale + 4, margin, -scale),
+                           range(lo, top + 1)))),
+            "</svg>\n"))
 
 
-def _vname(vid) -> str:
-    ray, h = vid
-    return f"v{ray}_{h}".replace("-", "m")
-
-
-def _paint(width: int, marks: dict) -> str:
-    chars = [" "] * max(width, max(marks, default=0) + 1)
-    for col, ch in marks.items():
-        chars[col] = ch
-    return "".join(chars)
+def _fill(template: str, rows: list) -> str:
+    """The template once per row, in one %-format pass."""
+    return (template * len(rows)) % tuple(chain.from_iterable(rows))

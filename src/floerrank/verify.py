@@ -269,11 +269,13 @@ def scan_hat_monotonicity(bound: int, length: int = 3) -> list:
     monotone in general: for three fibers the first violation appears at
     bound 11, (5,8,11) <= (5,9,11) with hat ranks 35 > 31.  The reduced rank
     is the monotone one (the partial-order inequality, see verify_monotone).
-    A scan of more than MAX_SCAN_CANDIDATES candidate tuples is refused with
-    a ValueError before anything is ranked.
+    A negative length, or a scan of more than MAX_SCAN_CANDIDATES candidate
+    tuples, is refused with a ValueError before anything is ranked.
     """
     from itertools import combinations
-    n, k = max(bound - 1, 0), max(length, 0)
+    if length < 0:
+        raise ValueError(f"--length {length}: a scan length must be non-negative")
+    n, k = max(bound - 1, 0), length
     # once min(k, n - k) > 8, comb(n, k) >= comb(18, 9) = 48,620: refused
     # without computing a count that may run to millions of digits
     if min(k, n - k) > 8 or math.comb(n, k) > MAX_SCAN_CANDIDATES:

@@ -1,4 +1,5 @@
-"""Oracles for GradedRoot: the union-find tree, its layout and per-grading ranks.
+"""Oracles for GradedRoot: the union-find tree, its layout, its renders and
+per-grading ranks.
 
 Each extremum starts one upward ray; rays i and i+1 are glued at every
 grading >= max(e[i], e[i+1]).  The construction unions those cells and reads
@@ -6,6 +7,7 @@ vertices and edges off the classes.  The library builds the same tree by one
 top-down sweep over the gradings; the tests compare the two.  The columns
 the renders draw are placed here by a depth-first walk of a children map,
 where the library places them in the sweep's own bottom-up pass.  The
+renders here draw line by line, where the library paints arrays.  The
 per-grading hat and reduced ranks are likewise summed grading by grading
 here, and the vertex counts and leaves recounted off the explicit tree,
 where the library counts extrema.
@@ -13,7 +15,7 @@ where the library counts extrema.
 
 from collections import Counter
 
-from floerrank.gradedroot import GradedRoot, Vertex, _paint
+from floerrank.gradedroot import GradedRoot, Vertex
 
 
 class _UnionFind:
@@ -110,21 +112,34 @@ def oracle_root(extrema) -> GradedRoot:
     return root
 
 
-def row_scan_ascii(root: GradedRoot) -> str:
-    """The ascii render that scans every vertex once per grading."""
-    cols, parent_of = dfs_layout(root), dict(root.edges())
+def render(root: GradedRoot, format: str) -> str:
+    """The root's structure drawn line by line, a closure call per vertex.
+
+    These are the renders the library drew before it painted the ascii
+    tree straight into the output's bytes and wrote each svg and dot block
+    in one format pass.  Oracle roots (oracle_root) draw the union-find tree
+    with its depth-first layout.
+    """
+    return {"ascii": _line_ascii, "dot": _line_dot, "svg": _line_svg}[format](root)
+
+
+def _line_ascii(root: GradedRoot) -> str:
+    """Each row painted as a list of characters, then right-stripped."""
+    _, edges, cols = root._build_structure()
+    parent_of = dict(edges)
     lo = min(root.minima)
     width = max(cols.values()) + 1
     label = max(len(str(h)) for h in range(lo, root.stabilization + 1))
     lines = [" " * (label + 1) + _paint(width, {cols[(0, root.stabilization)]: ":"})]
+    by_grading = {}
+    for v, c in cols.items():
+        by_grading.setdefault(v[1], []).append((v, c))
     for h in range(root.stabilization, lo - 1, -1):
-        row = {cols[v]: "o" for v in cols if v[1] == h}
+        row = {c: "o" for _, c in by_grading[h]}
         lines.append(f"{h:>{label}} " + _paint(width, row))
         if h > lo:
             conn = {}
-            for v, c in cols.items():
-                if v[1] != h - 1:
-                    continue
+            for v, c in by_grading[h - 1]:
                 pc = cols[parent_of[v]]
                 if pc == c:
                     conn[c] = "|"
@@ -134,6 +149,59 @@ def row_scan_ascii(root: GradedRoot) -> str:
                     conn[c - 1] = "\\"
             lines.append(" " * (label + 1) + _paint(width, conn))
     return "\n".join(line.rstrip() for line in lines) + "\n"
+
+
+def _line_dot(root: GradedRoot) -> str:
+    vertices, edges, _ = root._build_structure()
+    out = ["digraph gradedroot {"]
+    out.append(f'  // stabilizes: one vertex per grading >= {root.stabilization}')
+    out.append("  node [shape=circle];")
+    for v in vertices:
+        out.append(f'  "{_vname(v.vertex_id)}" [label="{v.grading}"];')
+    stem = (0, root.stabilization)
+    out.append(f'  "stem" [label="{root.stabilization + 1}", style=dashed];')
+    for child, parent in edges:
+        out.append(f'  "{_vname(child)}" -> "{_vname(parent)}";')
+    out.append(f'  "{_vname(stem)}" -> "stem" [style=dashed];')
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def _line_svg(root: GradedRoot) -> str:
+    _, edges, cols = root._build_structure()
+    lo = min(root.minima)
+    scale, margin = 24, 30
+
+    def xy(vid):
+        return (margin + cols[vid] * scale // 2,
+                margin + (root.stabilization - vid[1]) * scale)
+
+    width = margin * 2 + max(c for c in cols.values()) * scale // 2
+    height = margin * 2 + (root.stabilization - lo) * scale
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
+    for child, parent in edges:
+        (x1, y1), (x2, y2) = xy(child), xy(parent)
+        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>')
+    for vid in sorted(cols):
+        x, y = xy(vid)
+        parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
+    for h in range(lo, root.stabilization + 1):
+        y = margin + (root.stabilization - h) * scale
+        parts.append(f'<text x="2" y="{y + 4}" font-size="10">{h}</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _vname(vid) -> str:
+    ray, h = vid
+    return f"v{ray}_{h}".replace("-", "m")
+
+
+def _paint(width: int, marks: dict) -> str:
+    chars = [" "] * max(width, max(marks, default=0) + 1)
+    for col, ch in marks.items():
+        chars[col] = ch
+    return "".join(chars)
 
 
 def structural_vertex_counts(root: GradedRoot) -> dict:

@@ -315,6 +315,12 @@ def test_scan_refuses_a_huge_bound_at_once():
                                   "than the "), proc.stderr
 
 
+def test_scan_refuses_a_negative_length(capsys):
+    code, out, err = run(capsys, "scan", "9", "--length", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --length -1: a scan length must be non-negative\n"
+
+
 def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "ranks.jsonl"
     code, _, _ = run(capsys, "botany", "1", "--cache", str(cache))

@@ -1,6 +1,9 @@
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from bisect import bisect_right
+from itertools import combinations
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -123,9 +126,8 @@ def test_structure_matches_union_find_oracle(rng):
         oracle = root_oracle.oracle_root(root.extrema)
         assert (root.vertices(), root.edges()) == \
             (oracle.vertices(), oracle.edges()), root.extrema
-        assert root.render("ascii") == root_oracle.row_scan_ascii(oracle), root.extrema
-        for fmt in ("dot", "svg"):
-            assert root.render(fmt) == oracle.render(fmt), (root.extrema, fmt)
+        for fmt in ("ascii", "dot", "svg"):
+            assert root.render(fmt) == root_oracle.render(oracle, fmt), (root.extrema, fmt)
         assert root.hat_ranks_by_degree() == \
             root_oracle.per_grading_hat_ranks(root), root.extrema
 
@@ -136,6 +138,62 @@ def test_columns_match_dfs_layout(rng):
               for ms in ([2, 3, 5, 7, 11], [2, 3, 5, 7, 13])]
     for root in roots:
         assert root._build_structure()[2] == root_oracle.dfs_layout(root), root.extrema
+
+
+def _large_four_fiber_roots():
+    """Roots of the 4-fiber tuples with entries up to 23 and cutoff below
+    6,000 (the benchmark's pool) that have more than 100 leaves: 115 roots."""
+    roots = []
+    for ms in combinations(range(2, 24), 4):
+        if all(gcd(p, q) == 1 for p, q in combinations(ms, 2)):
+            t = seifert.make_tuple(list(ms))
+            if not t.is_degenerate and seifert.n_cutoff(t) < 6000:
+                root = GradedRoot.from_delta_sequence(from_seifert(t))
+                if root.leaves() > 100:
+                    roots.append(root)
+    return roots
+
+
+def test_renders_match_line_drawing_oracle():
+    # the seeded corpus is compared in test_structure_matches_union_find_oracle
+    roots = _large_four_fiber_roots()
+    roots += [GradedRoot.from_tau(dense_tau(seifert.make_tuple(ms)))
+              for ms in ([2, 3, 5, 7, 11], [2, 3, 5, 7, 13])]
+    # gradings past int64: the renders' arrays hold depths below the top
+    roots += [GradedRoot.from_tau([h + 10**20 * sign for h in (0, 2, 1, 3, 0)])
+              for sign in (1, -1)]
+    assert len(roots) == 115 + 2 + 2
+    for root in roots:
+        for fmt in ("ascii", "dot", "svg"):
+            assert root.render(fmt) == root_oracle.render(root, fmt), (root.extrema, fmt)
+
+
+def test_ascii_render_memory_follows_its_output():
+    # one minimum at depth 1,000 beside 3,000 minima at -1: 2,002 rows of up
+    # to 12,007 columns, about 24 MB as a grid, but only the top rows are wide
+    root = GradedRoot([-1000] + [0, -1] * 3000)
+    n_vertices = len(root.vertices())
+    tracemalloc.start()
+    try:
+        out = root.render("ascii")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = out.splitlines()
+    assert (len(lines), max(map(len, lines)), len(out)) == (2002, 12007, 52015)
+    # the output's bytes and its text, plus a few int64 index arrays per vertex
+    assert peak < 2 * len(out) + 256 * n_vertices < len(lines) * max(map(len, lines)) // 20
+
+
+def test_edges_and_vertices_return_copies():
+    root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
+    edges, vertices = root.edges(), root.vertices()
+    renders = {fmt: root.render(fmt) for fmt in ("ascii", "dot", "svg")}
+    root.edges().clear()
+    root.vertices().clear()
+    assert root.edges() == edges and len(edges) == 5
+    assert root.vertices() == vertices and len(vertices) == 6
+    assert {fmt: root.render(fmt) for fmt in renders} == renders
 
 
 def test_renders_read_one_structure_sweep(monkeypatch):
