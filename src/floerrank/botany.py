@@ -228,6 +228,8 @@ def solve(n: int, counts: Counter = None) -> BotanyResult:
 
     counts, when given, receives the scan's counts (see stats_json).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return _ROW_ZERO
     return BotanyResult(n=n, tuples=_rows_upto(n, counts)[n], includes_s3=False)

@@ -73,6 +73,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_root(args) -> int:
+    if args.tau is not None and args.multiplicities:
+        raise ValueError(f"root: give the tuple {' '.join(map(str, args.multiplicities))} "
+                         f"or --tau {' '.join(map(str, args.tau))}, not both")
     if args.tau is not None:
         root = GradedRoot.from_tau(args.tau)
     else:
@@ -85,6 +88,8 @@ def cmd_root(args) -> int:
 
 
 def cmd_botany(args) -> int:
+    if args.table is not None and args.n is not None:
+        raise ValueError(f"botany: give the rank {args.n} or --table {args.table}, not both")
     counts = Counter() if args.stats else None
     if args.table is not None:
         rows = botany.table(args.table, counts)

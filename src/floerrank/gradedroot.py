@@ -7,31 +7,36 @@ vertices per grading, exactly one per grading at and above the
 stabilization grading max(tau).
 
 The tree only depends on the local extrema of tau, so we store the
-compressed alternating min/max sequence and build the explicit tree only
-when a vertex-level query or a rendering asks for it.  A vertex at grading
-h is a maximal run of consecutive extrema that are all <= h; one top-down
-sweep over the gradings finds the runs and each run's parent one grading up.
-The same build places the columns the renders draw, in one bottom-up pass
-over the sweep's edges: the leaves are the minima, four columns apart in
-ray order, and a parent sits at the integer mean of its children's columns.
-vertices(), edges() and every render read that one cached structure.  The
-renders are array passes over it: the ascii render paints the stem, the
-vertex marks, the links and the grading labels straight into the bytes of
-its output, each row ending at its right-most mark, so its memory follows
-the output and not the rows times the columns of the drawing; the svg and
-dot renders write each block of lines in one %-format pass.
+compressed alternating sequence v_0, u_1, v_1, ..., u_{m-1}, v_{m-1} of
+minima v and maxima u, and build the explicit tree only when a vertex-level
+query or a rendering asks for it.  A vertex at grading h is a maximal run of
+consecutive extrema that are all <= h, named (first extremum, h); a run
+always starts at a minimum.  So the tree is made of chains, one per minimum:
+v_j owns the vertices (2j, h) for v_j <= h < cap_j, where cap_0 = top + 1
+and cap_j = u_j.  The top of chain j joins, at grading cap_j, the chain
+that starts after the nearest maximum to its left above cap_j, and one
+stack of earlier chains with decreasing caps finds all of these in a pass
+over the minima.  The columns the renders draw follow the chains too: chain
+j starts at column 4j, and at each grading where chains join it, it moves
+to the integer mean of its own column and their top columns.  The structure
+is four int64 arrays in vertex-id order: ray, depth below the top, parent
+index and column.  No sweep over the gradings is made.  vertices() and
+edges() build their lists from those arrays, and the renders are array
+passes over them: the ascii render paints the stem, the vertex marks, the
+links and the grading labels straight into the bytes of its output, each
+row ending at its right-most mark, so its memory follows the output and not
+the rows times the columns of the drawing; the svg and dot renders write
+each block of lines in one %-format pass.
 Summary ranks come straight from the extrema:
-with minima v_1..v_m and maxima u_1..u_{m-1},
 
     leaves            = m,
     total reduced rank = sum(u) - sum(v) + min(v),
     total hat rank     = 2m - 1.
 """
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, groupby
 
 import numpy as np
 
@@ -102,7 +107,9 @@ class GradedRoot:
 
     @classmethod
     def from_delta_sequence(cls, ds) -> "GradedRoot":
-        return cls.from_tau(ds.tau())
+        """Root of ds's tau, which turns exactly where delta changes sign: its
+        values at the ends of the same-sign runs are all the extrema need."""
+        return cls.from_tau(accumulate(ds.canonical_values(), initial=0))
 
     # -- summary ranks straight from the extrema ---------------------------
 
@@ -143,60 +150,81 @@ class GradedRoot:
         out = Counter(self.minima) + Counter(u - 1 for u in self.maxima)
         return dict(sorted(out.items()))
 
-    # -- explicit tree (one top-down sweep, then its columns bottom-up) -----
+    # -- explicit tree: one chain of vertices per minimum -------------------
 
     def _build_structure(self):
+        """Ray, depth below the top, parent index (-1 at the root) and column
+        of every vertex, as int64 arrays in vertex-id order.
+
+        Minimum j owns the chain (2j, h), v_j <= h < cap_j, where cap_0 is
+        top + 1 and cap_j the maximum just before v_j.  Depths, unlike
+        gradings, are bounded by the tree's height, so they fit in int64
+        however large the gradings are.
+        """
         if self._structure is not None:
             return self._structure
-        rays, top = self.extrema, self.stabilization
-        total = (sum(top - v + 1 for v in self.minima)
-                 - sum(top - u + 1 for u in self.maxima))
-        if total > MAX_VERTICES:
-            raise ValueError(f"graded root has {total} vertices, more than the "
-                             f"{MAX_VERTICES} an explicit tree may have")
-        leaving = {}
-        for i, e in enumerate(rays):
-            leaving.setdefault(e, []).append(i)
-        active = [True] * len(rays)
-        starts = [0]  # first ray of each run at the current grading, sorted
-        vertices = [Vertex(vertex_id=(0, top), grading=top)]
-        edges = []
-        for h in range(top - 1, min(rays) - 1, -1):
-            above = starts
-            gone = leaving.get(h + 1)
-            if gone:
-                for i in gone:
-                    active[i] = False
-                # a ray that leaves ends or splits its run; its active right
-                # neighbour starts a run
-                new = set(above).difference(gone)
-                new.update(i + 1 for i in gone if i + 1 < len(rays) and active[i + 1])
-                starts = sorted(new)
-            for first in starts:
-                vid = (first, h)
-                vertices.append(Vertex(vertex_id=vid, grading=h))
-                edges.append((vid, (above[bisect_right(above, first) - 1], h + 1)))
-        # leaves (the minima) at 0, 4, 8, ...; the sweep's edges reversed reach
-        # each child after its own children, and a parent takes their mean
-        columns = {(2 * j, v): 4 * j for j, v in enumerate(self.minima)}
-        below = {}
-        for child, parent in reversed(edges):
-            if child not in columns:
-                columns[child] = sum(below[child]) // len(below[child])
-            below.setdefault(parent, []).append(columns[child])
-        if edges:
-            columns[(0, top)] = sum(below[(0, top)]) // len(below[(0, top)])
-        vertices.sort(key=lambda v: v.vertex_id)
-        edges.sort()
-        self._structure = (vertices, edges, columns)
+        top, minima = self.stabilization, self.minima
+        caps = (top + 1,) + self.maxima
+        lengths = [cap - v for cap, v in zip(caps, minima)]
+        offset = list(accumulate(lengths, initial=0))
+        if offset[-1] > MAX_VERTICES:
+            raise ValueError(f"graded root has {offset[-1]} vertices, more than "
+                             f"the {MAX_VERTICES} an explicit tree may have")
+        # the top of chain j joins chain k, the chain after the nearest maximum
+        # to its left above cap_j, at vertex (2k, cap_j); the stack holds the
+        # earlier chains with decreasing caps
+        stack, above, joins = [0], [-1], [[] for _ in minima]
+        for j in range(1, len(minima)):
+            while caps[stack[-1]] <= caps[j]:
+                stack.pop()
+            k = stack[-1]
+            above.append(offset[k] + caps[j] - minima[k])
+            joins[k].append(j)
+            stack.append(j)
+        # chain k starts at column 4k; where chains join it, it moves to the
+        # mean of its own column and their tops'.  In order of the caps, the
+        # chains joining a chain are placed before it.
+        # runs[k]: chain k's (column, number of vertices) from its bottom up
+        top_col, runs = [0] * len(minima), [None] * len(minima)
+        for k in sorted(range(len(minima)), key=caps.__getitem__):
+            col, h, runs[k] = 4 * k, minima[k], []
+            for g, group in groupby(joins[k], caps.__getitem__):
+                runs[k].append((col, g - h))
+                tops = [top_col[j] for j in group]
+                col, h = (col + sum(tops)) // (1 + len(tops)), g
+            runs[k].append((col, caps[k] - h))
+            top_col[k] = col
+        cols, spans = zip(*chain.from_iterable(runs))
+        index = np.arange(offset[-1], dtype=np.int64)
+        # vertex i of chain j sits at depth top - v_j - (i - offset_j), below
+        # vertex i + 1 or, at the chain's top, below the vertex it joins
+        parent = index + 1
+        parent[np.array(offset[1:]) - 1] = above
+        self._structure = (
+            np.repeat(np.arange(0, 2 * len(minima), 2, dtype=np.int64), lengths),
+            np.repeat(np.array([top - v + o for v, o in zip(minima, offset)], np.int64),
+                      lengths) - index,
+            parent,
+            np.repeat(np.array(cols, np.int64), spans))
         return self._structure
 
+    def _ids(self) -> list:
+        """(ray, grading) of every vertex in id order, gradings exact."""
+        ray, depth, _, _ = self._build_structure()
+        top = self.stabilization
+        return list(zip(ray.tolist(), [top - d for d in depth.tolist()]))
+
+    def _edges(self, ids: list) -> list:
+        return [(ids[i], ids[p])
+                for i, p in enumerate(self._build_structure()[2].tolist()) if p >= 0]
+
     def vertices(self) -> list:
-        return list(self._build_structure()[0])
+        ids = self._ids()
+        return list(map(Vertex, ids, [h for _, h in ids]))
 
     def edges(self) -> list:
         """(child id, parent id) pairs inside the window."""
-        return list(self._build_structure()[1])
+        return self._edges(self._ids())
 
     def render(self, format: str = "ascii") -> str:
         if format == "ascii":
@@ -207,40 +235,28 @@ class GradedRoot:
             return self._render_svg()
         raise UnknownFormatError(f"unknown format {format!r}")
 
-    def _table(self, ids: list) -> tuple:
-        """Depth below the top grading and column of each vertex id, as arrays.
-
-        Depths, unlike gradings, are bounded by the tree's height, so they
-        fit in int64 however large the gradings are.
-        """
-        top, cols = self.stabilization, self._build_structure()[2]
-        return (np.fromiter((top - h for _, h in ids), np.int64, len(ids)),
-                np.fromiter(map(cols.__getitem__, ids), np.int64, len(ids)))
-
     def _render_ascii(self) -> str:
         """Paint the tree straight into the bytes of the output.
 
         Row 0 holds the stem, row 2k + 1 the vertices at grading top - k and
-        row 2k + 2 the links from the vertices at top - k - 1 up to them.  The
-        root is the head of the table below and its link is the stem.  Each
-        row ends after its right-most mark, so the offset of every row is
-        known before anything is painted, and the only buffer is the output's
-        own: no grid of rows times columns is built.
+        row 2k + 2 the links from the vertices at top - k - 1 up to them; the
+        root's link is the stem.  Each row ends after its right-most mark, so
+        the offset of every row is known before anything is painted, and the
+        only buffer is the output's own: no grid of rows times columns is
+        built.
         """
         top, lo = self.stabilization, min(self.minima)
-        _, edges, _ = self._build_structure()
-        # the root, then each edge's child and parent
-        depth, col = self._table([(0, top)] + list(chain.from_iterable(edges)))
-        depth = np.concatenate((depth[:1], depth[1::2]))
-        parent = np.concatenate((col[:1], col[2::2]))
-        col = np.concatenate((col[:1], col[1::2]))
-        step = np.sign(parent - col)
+        _, depth, parent, col = self._build_structure()
+        # the root's parent index, -1, reads another column: its link is the stem
+        root = parent < 0
+        step = np.sign(col[parent] - col)
+        step[root] = 0
         label = max(len(str(lo)), len(str(top)))
         left = label + 1  # a grading label and a space precede the tree
-        col += left
+        col = col + left
         link = col + step
         char = np.frombuffer(b"\\|/", np.uint8)[step + 1]
-        char[0] = ord(":")
+        char[root] = ord(":")
         mark_row = 2 * depth + 1
         link_row = mark_row - 1
         end = np.zeros(2 * (top - lo) + 2, np.int64)
@@ -257,37 +273,33 @@ class GradedRoot:
         return str(out.data, "ascii")
 
     def _render_dot(self) -> str:
-        vertices, edges, _ = self._build_structure()
-        top = self.stabilization
+        top, ids = self.stabilization, self._ids()
         dot = "".join((
             "digraph gradedroot {\n",
             f"  // stabilizes: one vertex per grading >= {top}\n",
             "  node [shape=circle];\n",
-            _fill('  "v%d_%d" [label="%d"];\n', [(*v.vertex_id, v.grading) for v in vertices]),
+            _fill('  "v%d_%d" [label="%d"];\n', [(*vid, vid[1]) for vid in ids]),
             f'  "stem" [label="{top + 1}", style=dashed];\n',
-            _fill('  "v%d_%d" -> "v%d_%d";\n', [child + parent for child, parent in edges]),
+            _fill('  "v%d_%d" -> "v%d_%d";\n', [child + parent for child, parent in self._edges(ids)]),
             f'  "v0_{top}" -> "stem" [style=dashed];\n',
             "}\n"))
         # a vertex's name writes the minus sign of its grading as "m"
         return dot.replace("_-", "_m")
 
     def _render_svg(self) -> str:
-        vertices, edges, _ = self._build_structure()
+        _, depth, parent, col = self._build_structure()
         top, lo = self.stabilization, min(self.minima)
         scale, margin = 24, 30
-
-        def xy(ids):
-            depth, col = self._table(ids)
-            return np.column_stack((margin + col * scale // 2, margin + depth * scale))
-
-        ends = xy(list(chain.from_iterable(edges)))  # each edge's child, then parent
-        centres = xy([v.vertex_id for v in vertices])
+        x, y = margin + col * scale // 2, margin + depth * scale
+        child = np.flatnonzero(parent >= 0)
+        up = parent[child]
         return "".join((
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{centres[:, 0].max() + margin}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{x.max() + margin}" '
             f'height="{margin * 2 + (top - lo) * scale}">\n',
             _fill('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>\n',
-                  ends.reshape(-1, 4).tolist()),
-            _fill('<circle cx="%d" cy="%d" r="4" fill="black"/>\n', centres.tolist()),
+                  np.column_stack((x[child], y[child], x[up], y[up])).tolist()),
+            _fill('<circle cx="%d" cy="%d" r="4" fill="black"/>\n',
+                  np.column_stack((x, y)).tolist()),
             _fill('<text x="2" y="%d" font-size="10">%d</text>\n',
                   list(zip(range(margin + (top - lo) * scale + 4, margin, -scale),
                            range(lo, top + 1)))),

@@ -3,11 +3,12 @@ per-grading ranks.
 
 Each extremum starts one upward ray; rays i and i+1 are glued at every
 grading >= max(e[i], e[i+1]).  The construction unions those cells and reads
-vertices and edges off the classes.  The library builds the same tree by one
-top-down sweep over the gradings; the tests compare the two.  The columns
-the renders draw are placed here by a depth-first walk of a children map,
-where the library places them in the sweep's own bottom-up pass.  The
-renders here draw line by line, where the library paints arrays.  The
+vertices and edges off the classes.  The library builds the same tree as one
+chain of vertices per minimum, held in int64 arrays; the tests compare the
+two.  The columns the renders draw are placed here by a depth-first walk of
+a children map, where the library moves each chain's column where chains
+join it.  The renders here draw the oracle's vertices, edges and columns
+line by line, where the library paints arrays.  The
 per-grading hat and reduced ranks are likewise summed grading by grading
 here, and the vertex counts and leaves recounted off the explicit tree,
 where the library counts extrema.
@@ -102,39 +103,36 @@ def dfs_layout(root: GradedRoot) -> dict:
     return _dfs_columns(root.edges(), root.stabilization)
 
 
-def oracle_root(extrema) -> GradedRoot:
-    """A GradedRoot whose explicit tree is the union-find one, laid out by
-    the depth-first walk, so its renders draw the oracle's vertices, edges
-    and columns."""
-    root = GradedRoot(extrema)
-    vertices, edges = union_find_structure(root.extrema)
-    root._structure = (vertices, edges, _dfs_columns(edges, root.stabilization))
-    return root
+def oracle_root(extrema) -> tuple:
+    """(vertices, edges, {vertex id: column}) of the root of the extrema:
+    the union-find tree laid out by the depth-first walk."""
+    vertices, edges = union_find_structure(extrema)
+    return vertices, edges, _dfs_columns(edges, max(extrema))
 
 
-def render(root: GradedRoot, format: str) -> str:
-    """The root's structure drawn line by line, a closure call per vertex.
+def render(format: str, vertices, edges, columns) -> str:
+    """The tree drawn line by line, a closure call per vertex.
 
     These are the renders the library drew before it painted the ascii
     tree straight into the output's bytes and wrote each svg and dot block
-    in one format pass.  Oracle roots (oracle_root) draw the union-find tree
-    with its depth-first layout.
+    in one format pass.  Given oracle_root's vertices, edges and columns,
+    they draw the union-find tree with its depth-first layout.
     """
-    return {"ascii": _line_ascii, "dot": _line_dot, "svg": _line_svg}[format](root)
+    draw = {"ascii": _line_ascii, "dot": _line_dot, "svg": _line_svg}[format]
+    gradings = [v.grading for v in vertices]
+    return draw(vertices, edges, columns, min(gradings), max(gradings))
 
 
-def _line_ascii(root: GradedRoot) -> str:
+def _line_ascii(vertices, edges, cols, lo, top) -> str:
     """Each row painted as a list of characters, then right-stripped."""
-    _, edges, cols = root._build_structure()
     parent_of = dict(edges)
-    lo = min(root.minima)
     width = max(cols.values()) + 1
-    label = max(len(str(h)) for h in range(lo, root.stabilization + 1))
-    lines = [" " * (label + 1) + _paint(width, {cols[(0, root.stabilization)]: ":"})]
+    label = max(len(str(h)) for h in range(lo, top + 1))
+    lines = [" " * (label + 1) + _paint(width, {cols[(0, top)]: ":"})]
     by_grading = {}
     for v, c in cols.items():
         by_grading.setdefault(v[1], []).append((v, c))
-    for h in range(root.stabilization, lo - 1, -1):
+    for h in range(top, lo - 1, -1):
         row = {c: "o" for _, c in by_grading[h]}
         lines.append(f"{h:>{label}} " + _paint(width, row))
         if h > lo:
@@ -151,15 +149,14 @@ def _line_ascii(root: GradedRoot) -> str:
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
-def _line_dot(root: GradedRoot) -> str:
-    vertices, edges, _ = root._build_structure()
+def _line_dot(vertices, edges, cols, lo, top) -> str:
     out = ["digraph gradedroot {"]
-    out.append(f'  // stabilizes: one vertex per grading >= {root.stabilization}')
+    out.append(f'  // stabilizes: one vertex per grading >= {top}')
     out.append("  node [shape=circle];")
     for v in vertices:
         out.append(f'  "{_vname(v.vertex_id)}" [label="{v.grading}"];')
-    stem = (0, root.stabilization)
-    out.append(f'  "stem" [label="{root.stabilization + 1}", style=dashed];')
+    stem = (0, top)
+    out.append(f'  "stem" [label="{top + 1}", style=dashed];')
     for child, parent in edges:
         out.append(f'  "{_vname(child)}" -> "{_vname(parent)}";')
     out.append(f'  "{_vname(stem)}" -> "stem" [style=dashed];')
@@ -167,17 +164,14 @@ def _line_dot(root: GradedRoot) -> str:
     return "\n".join(out) + "\n"
 
 
-def _line_svg(root: GradedRoot) -> str:
-    _, edges, cols = root._build_structure()
-    lo = min(root.minima)
+def _line_svg(vertices, edges, cols, lo, top) -> str:
     scale, margin = 24, 30
 
     def xy(vid):
-        return (margin + cols[vid] * scale // 2,
-                margin + (root.stabilization - vid[1]) * scale)
+        return (margin + cols[vid] * scale // 2, margin + (top - vid[1]) * scale)
 
     width = margin * 2 + max(c for c in cols.values()) * scale // 2
-    height = margin * 2 + (root.stabilization - lo) * scale
+    height = margin * 2 + (top - lo) * scale
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">']
     for child, parent in edges:
         (x1, y1), (x2, y2) = xy(child), xy(parent)
@@ -185,8 +179,8 @@ def _line_svg(root: GradedRoot) -> str:
     for vid in sorted(cols):
         x, y = xy(vid)
         parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
-    for h in range(lo, root.stabilization + 1):
-        y = margin + (root.stabilization - h) * scale
+    for h in range(lo, top + 1):
+        y = margin + (top - h) * scale
         parts.append(f'<text x="2" y="{y + 4}" font-size="10">{h}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -97,6 +97,26 @@ def test_root_bad_input(capsys):
     assert code == 2
 
 
+def test_root_refuses_a_tuple_with_tau(capsys):
+    code, out, err = run(capsys, "root", "2", "3", "5", "7", "--tau", "1", "2")
+    assert code == 2 and out == ""
+    assert err == "error: root: give the tuple 2 3 5 7 or --tau 1 2, not both\n"
+
+
+def test_botany_refuses_a_negative_rank(capsys):
+    code, out, err = run(capsys, "botany", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: n must be >= 0, got -5\n"
+    with pytest.raises(ValueError):
+        botany.solve(-1)
+
+
+def test_botany_refuses_a_rank_with_table(capsys):
+    code, out, err = run(capsys, "botany", "5", "--table", "1")
+    assert code == 2 and out == ""
+    assert err == "error: botany: give the rank 5 or --table 1, not both\n"
+
+
 def test_botany_single(capsys):
     code, out, _ = run(capsys, "botany", "1")
     assert code == 0

@@ -1,12 +1,12 @@
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
-from bisect import bisect_right
 from itertools import combinations
 from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from floerrank import gradedroot, seifert
 from floerrank.deltaseq import from_seifert, from_values
@@ -121,15 +121,49 @@ def _seeded_roots(rng):
     return roots + [GradedRoot.from_delta_sequence(from_seifert(t)) for t in tuples]
 
 
+def _columns(root) -> dict:
+    """{vertex id: column}, read off the root's arrays."""
+    ray, depth, _, column = root._build_structure()
+    return {(r, root.stabilization - d): c
+            for r, d, c in zip(ray.tolist(), depth.tolist(), column.tolist())}
+
+
+def _assert_matches_oracle(root):
+    """Vertices, edges, columns and all three renders against the union-find
+    tree, its depth-first layout and the line-by-line renders."""
+    vertices, edges, columns = root_oracle.oracle_root(root.extrema)
+    assert (root.vertices(), root.edges()) == (vertices, edges), root.extrema
+    assert _columns(root) == columns, root.extrema
+    for fmt in ("ascii", "dot", "svg"):
+        assert root.render(fmt) == root_oracle.render(fmt, vertices, edges, columns), \
+            (root.extrema, fmt)
+
+
 def test_structure_matches_union_find_oracle(rng):
     for root in _seeded_roots(rng):
-        oracle = root_oracle.oracle_root(root.extrema)
-        assert (root.vertices(), root.edges()) == \
-            (oracle.vertices(), oracle.edges()), root.extrema
-        for fmt in ("ascii", "dot", "svg"):
-            assert root.render(fmt) == root_oracle.render(oracle, fmt), (root.extrema, fmt)
+        _assert_matches_oracle(root)
         assert root.hat_ranks_by_degree() == \
             root_oracle.per_grading_hat_ranks(root), root.extrema
+
+
+@st.composite
+def _tied_extrema(draw):
+    """Alternating extrema from a few values each, so that many maxima tie
+    with one another and many minima do too."""
+    shift = draw(st.integers(-5, 5))
+    lows = draw(st.lists(st.integers(-3, 0), min_size=1, max_size=14))
+    highs = draw(st.lists(st.integers(1, 3), min_size=len(lows) - 1,
+                          max_size=len(lows) - 1))
+    extrema = [lows[0]]
+    for u, v in zip(highs, lows[1:]):
+        extrema += [u, v]
+    return [e + shift for e in extrema]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_extrema())
+def test_tied_extrema_match_union_find_oracle(extrema):
+    _assert_matches_oracle(GradedRoot(extrema))
 
 
 def test_columns_match_dfs_layout(rng):
@@ -137,7 +171,7 @@ def test_columns_match_dfs_layout(rng):
     roots += [GradedRoot.from_tau(dense_tau(seifert.make_tuple(ms)))
               for ms in ([2, 3, 5, 7, 11], [2, 3, 5, 7, 13])]
     for root in roots:
-        assert root._build_structure()[2] == root_oracle.dfs_layout(root), root.extrema
+        assert _columns(root) == root_oracle.dfs_layout(root), root.extrema
 
 
 def _large_four_fiber_roots():
@@ -164,8 +198,13 @@ def test_renders_match_line_drawing_oracle():
               for sign in (1, -1)]
     assert len(roots) == 115 + 2 + 2
     for root in roots:
+        # the union-find tree of these roots would take minutes: their vertices
+        # and edges are the library's, laid out by the depth-first walk
+        vertices, edges, columns = root.vertices(), root.edges(), root_oracle.dfs_layout(root)
+        assert _columns(root) == columns, root.extrema
         for fmt in ("ascii", "dot", "svg"):
-            assert root.render(fmt) == root_oracle.render(root, fmt), (root.extrema, fmt)
+            assert root.render(fmt) == root_oracle.render(fmt, vertices, edges, columns), \
+                (root.extrema, fmt)
 
 
 def test_ascii_render_memory_follows_its_output():
@@ -196,21 +235,23 @@ def test_edges_and_vertices_return_copies():
     assert {fmt: root.render(fmt) for fmt in renders} == renders
 
 
-def test_renders_read_one_structure_sweep(monkeypatch):
+def test_renders_read_one_structure_build(monkeypatch):
     root = GradedRoot.from_delta_sequence(from_seifert(seifert.make_tuple([2, 3, 5, 7])))
-    searches = []
+    built, build = [], GradedRoot._build_structure
 
-    def counted(*args):
-        searches.append(args)
-        return bisect_right(*args)
+    def counted(self):
+        # a call that finds no cached structure builds one
+        built.append(self._structure is None)
+        return build(self)
 
-    # the sweep finds each edge's parent with one search
-    monkeypatch.setattr(gradedroot, "bisect_right", counted)
+    monkeypatch.setattr(GradedRoot, "_build_structure", counted)
+    vertices, edges = root.vertices(), root.edges()
     renders = {fmt: root.render(fmt) for fmt in ("ascii", "dot", "svg")}
-    assert len(searches) == len(root.edges()) == len(root.vertices()) - 1
+    assert built.count(True) == 1 and len(built) > 5
+    assert len(edges) == len(vertices) - 1 == len(root._structure[0]) - 1
     # the renders draw the structure's own columns: shifted, they shift
-    vertices, edges, columns = root._build_structure()
-    root._structure = (vertices, edges, {v: c + 4 for v, c in columns.items()})
+    ray, depth, parent, column = root._structure
+    root._structure = (ray, depth, parent, column + 4)
     label = max(len(str(min(root.minima))), len(str(root.stabilization))) + 1
     assert root.render("ascii") == "".join(
         line[:label] + "    " + line[label:] for line in renders["ascii"].splitlines(True))
