@@ -35,11 +35,6 @@ def checked_product(values) -> int:
     return acc
 
 
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, nonnegative, with gcd(0, 0) = 0."""
-    return math.gcd(a, b)
-
-
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m (m >= 2), in [0, m)."""
     if m < 2:

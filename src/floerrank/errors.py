@@ -22,10 +22,6 @@ class DegenerateTupleError(ValueError):
     """Operation needs a tuple with a positive cutoff (not S^3 or (2,3,5))."""
 
 
-class NotMemberError(ValueError):
-    """Integer is not a member of the numerical semigroup."""
-
-
 class EmptySequenceError(ValueError):
     """A nonempty sequence is required."""
 

@@ -18,19 +18,23 @@ pairing each positive-defect point with a compensating negative-defect
 point) can be upgraded to a one-to-one immersion; both upgrades go through
 refinements that do not change ranks.
 
+Positions are integers and maps are read-only int64 index arrays: a morphism
+into its target, a control function theta into its source (the partner of
+each positive-defect index, in source order).
+
 The three concrete families: the degree-n covering maps z -> n z + k P/p_l,
 the normal-form comparison map between componentwise-comparable tuples, and
 the pinch map driven by the order bijection of a two-generator numerical
 semigroup.
 """
 
-from dataclasses import dataclass
 from functools import wraps
+from math import gcd
 
 import numpy as np
 
 from . import seifert
-from .arith import check_int64, gcd, mod_inverse, pairwise_coprime
+from .arith import check_int64, mod_inverse, pairwise_coprime
 from .deltaseq import DeltaSequence, from_seifert
 from .errors import (
     DegenerateTupleError,
@@ -39,7 +43,6 @@ from .errors import (
     NotControlledError,
     NotCoprimeError,
     NotEmbeddingError,
-    NotMemberError,
     NotRigidError,
     NotSemiImmersionError,
 )
@@ -75,10 +78,8 @@ class DeltaMorphism:
     _from_index instead: it checks that each index lies in the target and
     searches nothing.  Each validator is a few array operations over index
     and the two sequences' values.  The arrays are read-only, so a verdict
-    cannot change: the map keeps each validator's verdict (and, like the
-    defect table, the control-function verdict of the last theta, keyed by
-    a copy of its contents), and a check repeated on the same map is
-    answered from that cache.
+    cannot change: the map keeps each validator's verdict and its defects,
+    and a check repeated on the same map is answered from that cache.
     """
 
     def __init__(self, source: DeltaSequence, target: DeltaSequence, mapping):
@@ -105,8 +106,7 @@ class DeltaMorphism:
         self.target = target
         self.index = index
         self._verdicts = {}
-        self._control = None        # (copy of theta, verdict)
-        self._defect_table = None
+        self._defects = None
 
     @property
     def mapping(self) -> np.ndarray:
@@ -182,63 +182,44 @@ class DeltaMorphism:
                 and bool(np.all(np.diff(self.index[~pos]) > 0))
                 and self._mixed_order_forward())
 
-    def defect_table(self) -> "DefectTable":
-        if self._defect_table is None:
+    def defect_table(self) -> np.ndarray:
+        """|source value| - |image value| at each source index, read-only
+        (> 0 bad, < 0 good); only a one-to-one semi-immersion has defects."""
+        if self._defects is None:
             if not (self.is_injective() and self.is_semi_immersion()):
                 raise NotSemiImmersionError("defects need a one-to-one semi-immersion")
             defects = np.abs(self.source.values) - np.abs(self.target.values[self.index])
             defects.flags.writeable = False
-            positions = self.source.positions
-            self._defect_table = DefectTable(defects=defects,
-                                             bad=positions[defects > 0],
-                                             good=positions[defects < 0],
-                                             neutral=positions[defects == 0])
-        return self._defect_table
+            self._defects = defects
+        return self._defects
 
     def to_json(self) -> dict:
         return {"map": np.column_stack([self.source.positions, self.mapping]).tolist()}
 
 
-@dataclass(frozen=True, eq=False)
-class DefectTable:
-    """Capacity excess of a one-to-one semi-immersion at each source position.
-
-    defects is in source order; bad, good and neutral are the source
-    positions of positive, negative and zero defect.
-    """
-
-    defects: np.ndarray
-    bad: np.ndarray
-    good: np.ndarray
-    neutral: np.ndarray
-
-
-def is_control_function(m: DeltaMorphism, theta: dict) -> bool:
+def is_control_function(m: DeltaMorphism, theta) -> bool:
     """Check an injection of the bad set into the good set.
 
-    It must preserve the sign class, point strictly left of its argument on
-    the positive side and strictly right on the negative side, and every
-    good image must absorb at least the defect of its bad point.
+    theta is an integer array of source indices, the partner of each bad
+    index (defect > 0) in source order.  The partners must be distinct
+    indices of the source with defect < 0; each must have its bad point's
+    sign, lie strictly left of it on the positive side and strictly right on
+    the negative side, and absorb at least its defect.
     """
-    if m._control is not None and m._control[0] == theta:
-        return m._control[1]
-    verdict = _control_verdict(m, theta)
-    m._control = (dict(theta), verdict)
-    return verdict
-
-
-def _control_verdict(m: DeltaMorphism, theta: dict) -> bool:
-    table = m.defect_table()
-    bad = np.fromiter(theta.keys(), dtype=np.int64, count=len(theta))
-    good = np.fromiter(theta.values(), dtype=np.int64, count=len(theta))
-    if not (np.array_equal(np.sort(bad), table.bad) and _distinct(good)
-            and np.isin(good, table.good, assume_unique=True).all()):
+    defects = m.defect_table()
+    b = np.flatnonzero(defects > 0)
+    g = np.asarray(theta)
+    if g.shape != b.shape:
         return False
-    b, g = m.source.indices_of(bad), m.source.indices_of(good)
+    if not b.size:
+        return True
+    if g.dtype.kind not in "iu" or g.min() < 0 or g.max() >= len(defects) or not _distinct(g):
+        return False
     positive = m.source.values[b] > 0
-    return bool(np.array_equal(positive, m.source.values[g] > 0)
-                and np.all(np.where(positive, good < bad, good > bad))
-                and np.all(np.abs(table.defects[b]) <= np.abs(table.defects[g])))
+    return bool(np.all(defects[g] < 0)
+                and np.array_equal(positive, m.source.values[g] > 0)
+                and np.all(np.where(positive, g < b, g > b))
+                and np.all(defects[b] <= -defects[g]))
 
 
 def embed_to_subsequence(m: DeltaMorphism):
@@ -291,22 +272,23 @@ def _after_split(at, i):
     return i + np.searchsorted(np.sort(at), i)
 
 
-def fix_defects(m: DeltaMorphism, theta: dict):
+def fix_defects(m: DeltaMorphism, theta):
     """Upgrade a controlled one-to-one semi-immersion to an immersion.
 
-    Each bad point b splits into (b1, b2) with b1 carrying exactly the value
-    of its image; each matched good image g splits into (g1, g2) with g1
-    carrying exactly the value of theta(b).  The map keeps b1 -> image(b)
-    and theta(b) -> g1 and sends the excess b2 to the slack g2.
+    theta is a control function for m (is_control_function): the source
+    index of each bad point's partner, in source order.  Each bad point b
+    splits into (b1, b2) with b1 carrying exactly the value of its image;
+    the image g of each partner splits into (g1, g2) with g1 carrying
+    exactly the partner's value.  The map keeps b1 -> image(b) and
+    theta(b) -> g1 and sends the excess b2 to the slack g2.
     Returns (refined source, refined target, one-to-one immersion), both
     sequences re-indexed to positions 0..k-1.
     """
     if not is_control_function(m, theta):
         raise NotControlledError("theta is not a control function for the map")
     source, target, index = m.source, m.target, m.index
-    bad = m.defect_table().bad
-    b = source.indices_of(bad)
-    controls = source.indices_of([theta[x] for x in bad.tolist()])
+    b = np.flatnonzero(m.defect_table() > 0)
+    controls = np.asarray(theta, dtype=np.int64)
     g = index[controls]
     new_source = _split_in_two(source, b, target.values[index[b]])
     new_target = _split_in_two(target, g, source.values[controls])
@@ -389,11 +371,11 @@ def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
 class TwoGenSemigroup:
     """The numerical semigroup {aq + br : a, b >= 0} for coprime q, r >= 2.
 
-    Carries the two delta functions 1 + floor(x/qr) on the natural numbers
-    and 1 + floor(a/r) + floor(b/q) on members, and the order bijection psi
-    between them.  psi reads an int64 table of the members below the
-    Frobenius number under the shift (half the gap count) and adds the
-    shift above.  psi_array and theta_array map int64 arrays elementwise.
+    The pinch compares 1 + floor(x/qr) at x with 1 + floor(a/r) + floor(b/q)
+    at psi(x) = aq + br (0 <= a < r), psi the order bijection from the
+    naturals onto the members: an int64 table of the shift = (q-1)(r-1)/2
+    members below the Frobenius number, then x + shift.  psi_array and
+    theta_array map int64 arrays elementwise.
     """
 
     def __init__(self, q: int, r: int):
@@ -402,72 +384,26 @@ class TwoGenSemigroup:
         if gcd(q, r) != 1:
             raise NotCoprimeError(f"({q}, {r}) are not coprime")
         self.q, self.r = q, r
-        self.frobenius = q * r - q - r
         self.shift = (q - 1) * (r - 1) // 2
         self._q_inv_mod_r = mod_inverse(q % r, r)
-        upto = np.arange(self.frobenius + 1)
+        # s = aq + br with 0 <= a < r is a member iff b >= 0
+        upto = np.arange(q * r - q - r + 1)
         self._small = upto[upto * self._q_inv_mod_r % r * q <= upto]
         self._small.flags.writeable = False
         assert self._small.size == self.shift
 
-    def _is_member(self, s: int) -> bool:
-        # s = aq + br with 0 <= a < r, a member iff b >= 0
-        return s >= 0 and s * self._q_inv_mod_r % self.r * self.q <= s
-
-    def __contains__(self, s) -> bool:
-        return self._is_member(int(s))
-
-    def gaps(self) -> list:
-        """The finitely many naturals outside the semigroup."""
-        return [x for x in range(self.frobenius + 1) if not self._is_member(x)]
-
-    def members_upto(self, bound: int) -> list:
-        return [s for s in range(bound + 1) if self._is_member(s)]
-
-    def psi(self, x: int) -> int:
-        """The order-preserving bijection from the naturals onto the members."""
-        if x < 0:
-            raise ValueError("psi is defined on nonnegative integers")
-        if x < self.shift:
-            return int(self._small[x])
-        return x + self.shift
-
     def psi_array(self, x: np.ndarray) -> np.ndarray:
-        """psi of each entry of a nonnegative int64 array."""
+        """psi, the x-th member, of each entry of a nonnegative int64 array."""
         return np.where(x < self.shift, self._small.take(x, mode="clip"), x + self.shift)
 
-    def delta_upper(self, x: int) -> int:
-        """1 + floor(x / qr), the delta value on the natural numbers."""
-        if x < 0:
-            raise ValueError("needs x >= 0")
-        return 1 + x // (self.q * self.r)
-
-    def delta_lower(self, s: int) -> int:
-        """1 + floor(a/r) + floor(b/q) for the canonical s = aq + br."""
-        if not self._is_member(s):
-            raise NotMemberError(f"{s} is not in S({self.q},{self.r})")
-        return self._delta_lower(s)
-
     def _delta_lower(self, s):
+        """1 + floor(a/r) + floor(b/q) for each member s = aq + br, 0 <= a < r."""
         a = s * self._q_inv_mod_r % self.r
         return 1 + a // self.r + (s - a * self.q) // self.r // self.q
 
-    def defect(self, x: int) -> int:
-        """Defect of x under psi: delta_upper(x) - delta_lower(psi(x))."""
-        return self.delta_upper(x) - self.delta_lower(self.psi(x))
-
-    def bad_points_upto(self, bound: int) -> list:
-        return [x for x in range(bound + 1) if self.defect(x) > 0]
-
-    def theta(self, b: int) -> int:
-        """Control partner 2kqr - b - 1 of a bad point in [kqr, (k+1)qr)."""
-        if self.defect(b) <= 0:
-            raise NotBadError(f"{b} has no positive defect under psi")
-        qr = self.q * self.r
-        return 2 * (b // qr) * qr - b - 1
-
     def theta_array(self, b: np.ndarray) -> np.ndarray:
-        """theta of each entry of a nonnegative int64 array, all bad points."""
+        """Control partner 2kqr - b - 1 of each b in [kqr, (k+1)qr) of a
+        nonnegative int64 array, all bad points (positive defect under psi)."""
         qr = self.q * self.r
         bad = 1 + b // qr > self._delta_lower(self.psi_array(b))
         if not bad.all():
@@ -514,8 +450,9 @@ def pinch_semi_immersion(base, q: int, r: int):
     base-fiber part, z = qr k + x_qr and unit = P/qr.  All positives have z
     replaced by psi(z) at once, psi the order bijection of the two-generator
     semigroup, and the rest extends by reflection.  Returns (morphism,
-    theta): theta puts theta(z) for z at each positive-defect position,
-    reflected on the negative side.
+    theta): theta is the control function, a read-only int64 array holding,
+    for each positive-defect source index in source order, the index of the
+    position with z replaced by theta(z), reflected on the negative side.
     """
     base = tuple(seifert.make_tuple(base).multiplicities)
     if q < 2 or r < 2:
@@ -538,8 +475,9 @@ def pinch_semi_immersion(base, q: int, r: int):
     z = q * r * k + coords[t_source.multiplicities.index(q * r)]
     morphism = _rigid(source, target, xs, xs + unit * (semi.psi_array(z) - z), n1, n2)
 
-    table = morphism.defect_table()
-    side = np.sign(source.values[table.defects > 0])    # -1: reflected from n1 - b
-    zb = z[np.searchsorted(xs, np.where(side > 0, table.bad, n1 - table.bad))]
-    partners = table.bad + side * unit * (semi.theta_array(zb) - zb)
-    return morphism, dict(zip(table.bad.tolist(), partners.tolist()))
+    bad = np.flatnonzero(morphism.defect_table() > 0)
+    x, side = source.positions[bad], np.sign(source.values[bad])  # -1: reflected from n1 - x
+    zb = z[np.searchsorted(xs, np.where(side > 0, x, n1 - x))]
+    theta = source.indices_of(x + side * unit * (semi.theta_array(zb) - zb))
+    theta.flags.writeable = False
+    return morphism, theta

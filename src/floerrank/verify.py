@@ -20,7 +20,6 @@ import numpy as np
 from . import morphism, seifert
 from .deltaseq import DeltaSequence
 from .errors import IllegalMoveError, NotComparableError
-from .arith import gcd
 
 # scans of more candidate tuples are refused: a scan ranks every candidate and
 # compares every pair, so its time and its list of violations grow as the
@@ -122,9 +121,7 @@ def verify_pinch(base, q: int, r: int) -> VerificationReport:
     report.check("pinch map is a one-to-one semi-immersion",
                  m.is_injective() and m.is_semi_immersion())
     report.check("theta is a control function", morphism.is_control_function(m, theta))
-    table = m.defect_table()
-    report.check("all defects within one unit",
-                 np.all(np.abs(table.defects) <= 1))
+    report.check("all defects within one unit", np.all(np.abs(m.defect_table()) <= 1))
     _, _, fixed = morphism.fix_defects(m, theta)
     report.check("defect repair yields a one-to-one immersion",
                  fixed.is_injective() and fixed.is_immersion())
@@ -190,7 +187,7 @@ class DegreeMove:
                 raise IllegalMoveError(f"fiber {fiber} / {self.n} not applicable to {t}")
             rest = list(ms)
             rest.remove(fiber)
-            if any(gcd(self.n, p) != 1 for p in rest):
+            if any(math.gcd(self.n, p) != 1 for p in rest):
                 raise IllegalMoveError(f"degree {self.n} not coprime to {rest}")
             return seifert.make_tuple(rest + [fiber // self.n])
         if self.kind == "branched_regular":

@@ -10,8 +10,10 @@ sequence, so the oracle stays fast enough to replay the acceptance suite's
 witness families.
 
 pinch_oracle builds the pinch map and its control function one position at
-a time, from a scalar fiber projection and the scalar TwoGenSemigroup.psi
-and theta; the library builds both with array passes over all positions.
+a time, from a scalar fiber projection and the two-generator semigroup's
+psi and theta as semigroup_oracle.two_generator reads them off the sieve;
+the library builds both with array passes over all positions and closed
+formulas.
 
 rigid_extend is the dict front end of the library's rigid extension, which
 the pinch map is built with; the tests drive that extension through it.
@@ -25,7 +27,8 @@ import numpy as np
 from floerrank import morphism, seifert
 from floerrank.deltaseq import from_seifert
 from floerrank.errors import FirstElementNegativeError, NotRigidError, NotSemiImmersionError
-from floerrank.morphism import TwoGenSemigroup
+
+from semigroup_oracle import two_generator
 
 
 _recent = []    # (sequence, its position -> value dict), newest first
@@ -207,7 +210,8 @@ def pinch_oracle(base, q: int, r: int):
 
     Returns (index, theta): for each source position the index of its image
     among the target's positions, and the control function on the map's
-    bad points (positive defect), a dict.
+    bad points (positive defect), a dict from each bad position to its
+    partner's position.
     """
     base = seifert.make_tuple(base).multiplicities
     t_source = seifert.make_tuple(base + (q * r,))
@@ -215,7 +219,6 @@ def pinch_oracle(base, q: int, r: int):
     source, target = from_seifert(t_source), from_seifert(t_target)
     n1, n2 = seifert.n_cutoff(t_source), seifert.n_cutoff(t_target)
     full, unit = t_source.product, prod(base)
-    semi = TwoGenSemigroup(q, r)
 
     def project(x):
         # x = full (k + sum x_i/p_i + x_qr/qr) = unit z with z = qr k + x_qr
@@ -227,21 +230,25 @@ def pinch_oracle(base, q: int, r: int):
         assert rem == 0
         return z
 
+    positives = source.positive_positions.tolist()
+    semigroup = two_generator(q, r, max(map(project, positives)) + q * r)
+
     def moved(x, along):
-        # x with its coordinate z replaced by along(z)
+        # x with its coordinate z replaced by along[z]
         z = project(x)
-        return x + unit * (along(z) - z)
+        return x + unit * (int(along[z]) - z)
 
     image = {}
-    for x in source.positive_positions.tolist():
-        image[x] = moved(x, semi.psi)
+    for x in positives:
+        image[x] = moved(x, semigroup.psi)
         image[n1 - x] = n2 - image[x]
     index = target.indices_of([image[x] for x in source.positions.tolist()])
     target_values = dict(zip(target.positions.tolist(), target.values.tolist()))
     theta = {}
     for x, v in zip(source.positions.tolist(), source.values.tolist()):
         if abs(v) > abs(target_values[image[x]]):
-            theta[x] = moved(x, semi.theta) if v > 0 else n1 - moved(n1 - x, semi.theta)
+            theta[x] = (moved(x, semigroup.theta) if v > 0
+                        else n1 - moved(n1 - x, semigroup.theta))
     return index, theta
 
 

@@ -1,4 +1,5 @@
-"""The semigroup views of delta, kept as oracles for seifert's formula.
+"""The semigroup views of delta, kept as oracles for seifert's formula and
+for the pinch engine.
 
 On [0, N] delta is >= 1 exactly on the numerical semigroup generated by the
 P/p_i, and there it equals 1 + k, k the integer part of the member's normal
@@ -6,6 +7,11 @@ form n = P (k + sum x_i/p_i) with 0 <= x_i < p_i.  The library evaluates
 only the ceiling formula; the tests check it against the three views here:
 the unbounded-coin sieve, the normal form one position at a time, and the
 normal form of a whole range at once.
+
+two_generator reads the pinch's two-generator semigroup <q, r>, its order
+bijection psi, its defects and a control function off the sieve alone; the
+library's TwoGenSemigroup computes them by modular arithmetic and closed
+formulas.
 """
 
 from typing import NamedTuple
@@ -89,3 +95,40 @@ def semigroup_sieve(t: SeifertTuple, bound: int) -> np.ndarray:
         np.logical_or.accumulate(cols, axis=0, out=cols)
         dp = padded[:size]
     return dp
+
+
+class TwoGenerator(NamedTuple):
+    """The semigroup <q, r> on [0, bound], read off the sieve."""
+
+    member: np.ndarray      # membership of 0..bound
+    psi: np.ndarray         # psi[x]: the x-th member, every member up to bound
+    defect: np.ndarray      # defect[x] = 1 + floor(x/qr) - delta_lower(psi[x])
+    theta: dict             # bad x (defect > 0) -> its control partner
+
+
+def two_generator(q: int, r: int, bound: int) -> TwoGenerator:
+    """<q, r>, the semigroup of the Seifert tuple (q, r) (generators qr/q and
+    qr/r), by the sieve alone.
+
+    psi is the sorted member list.  delta_lower(s) = 1 + floor(a/r) +
+    floor(b/q) at the canonical s = aq + br (0 <= a < r) counts the ways to
+    write s as aq + br with a, b >= 0, which is the number of j >= 0 with
+    s - j qr a member: a running count along each residue class mod qr.
+    theta matches brackets: in increasing order each good point (defect < 0)
+    opens one, and each bad point closes the latest one still open.
+    """
+    qr = q * r
+    member = semigroup_sieve(SeifertTuple(tuple(sorted((q, r)))), bound)
+    psi = np.flatnonzero(member)
+    padded = np.zeros(-(-(bound + 1) // qr) * qr, dtype=np.int64)
+    padded[:bound + 1] = member
+    ways = padded.reshape(-1, qr).cumsum(axis=0).ravel()
+    x = np.arange(psi.size)
+    defect = 1 + x // qr - ways[psi]
+    theta, open_goods = {}, []
+    for point in np.flatnonzero(defect).tolist():
+        if defect[point] < 0:
+            open_goods.append(point)
+        else:
+            theta[point] = open_goods.pop()
+    return TwoGenerator(member, psi, defect, theta)

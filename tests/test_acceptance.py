@@ -25,7 +25,7 @@ from floerrank.gradedroot import GradedRoot
 
 import root_oracle
 from conftest import random_delta_values, random_tuple
-from semigroup_oracle import membership_k_array, semigroup_sieve
+from semigroup_oracle import membership_k_array, semigroup_sieve, two_generator
 from walk_oracle import assert_matches_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -169,9 +169,9 @@ def test_criterion_05_morphism_witness_suite():
         m, theta = morphism.pinch_semi_immersion(base.multiplicities, q, r)
         assert m.is_injective() and m.is_semi_immersion(), (base, q, r)
         assert morphism.is_control_function(m, theta), (base, q, r)
-        table = m.defect_table()
-        assert all(abs(d) <= 1 for d in table.defects.tolist()), (base, q, r)
-        bad_cases += bool(table.bad.size)
+        defects = m.defect_table()
+        assert np.all(np.abs(defects) <= 1), (base, q, r)
+        bad_cases += bool(np.any(defects > 0))
         _, _, fixed = morphism.fix_defects(m, theta)
         assert fixed.is_injective() and fixed.is_immersion(), (base, q, r)
         source = seifert.make_tuple(base.multiplicities + (q * r,))
@@ -212,24 +212,30 @@ def test_criterion_06_structural_vs_formulaic():
 
 
 def test_criterion_07_two_generator_suite():
+    # the semigroup, psi, the defects and theta read off the sieve, and the
+    # library's psi, lower delta and theta against them on [0, 3qr]
     started = time.monotonic()
     pairs = [(q, r) for q in range(2, 40) for r in range(q + 1, 41)
              if math.gcd(q, r) == 1]
     for q, r in pairs:
         S = morphism.TwoGenSemigroup(q, r)
-        half = (q - 1) * (r - 1) // 2
-        assert len(S.gaps()) == half, (q, r)
-        F = S.frobenius
-        for x in range(F + 1):
-            assert (x in S) == (F - x not in S), (q, r, x)
-        assert S.psi(half) == (q - 1) * (r - 1), (q, r)
-        members = S.members_upto(F + 1 + half)
-        assert [S.psi(i) for i in range(len(members))] == members, (q, r)
-        for b in S.bad_points_upto(3 * q * r):
-            k = b // (q * r)
-            assert k >= 1 and k * q * r <= b < k * q * r + half, (q, r, b)
-            assert S.defect(b) == 1, (q, r, b)
-            assert S.defect(S.theta(b)) == -1, (q, r, b)
+        qr, half, F = q * r, (q - 1) * (r - 1) // 2, q * r - q - r
+        view = two_generator(q, r, 3 * qr + half)
+        assert np.count_nonzero(~view.member[:F + 1]) == half, (q, r)
+        assert np.array_equal(view.member[:F + 1], ~view.member[F::-1]), (q, r)
+        assert view.psi[half] == (q - 1) * (r - 1), (q, r)
+        x = np.arange(view.psi.size)
+        assert x[-1] == 3 * qr, (q, r)
+        assert np.array_equal(S.psi_array(x), view.psi), (q, r)
+        assert np.array_equal(1 + x // qr - S._delta_lower(S.psi_array(x)),
+                              view.defect), (q, r)
+        bad = np.flatnonzero(view.defect > 0)
+        k = bad // qr
+        assert np.all((k >= 1) & (bad < k * qr + half)), (q, r)
+        assert np.all(view.defect[bad] == 1), (q, r)
+        partners = S.theta_array(bad)
+        assert partners.tolist() == [view.theta[b] for b in bad.tolist()], (q, r)
+        assert np.all(view.defect[partners] == -1), (q, r)
     elapsed = time.monotonic() - started
     _passed(7, f"gap count, symmetry, psi boundary, bad-point window and "
                f"control defects for {len(pairs)} coprime pairs ({elapsed:.1f}s)")

@@ -1,25 +1,9 @@
 import math
-import random
 
 import pytest
 
 from floerrank import arith
 from floerrank.errors import NotInvertibleError
-
-
-def test_gcd_hand_cases():
-    assert arith.gcd(21, 14) == 7
-    assert arith.gcd(0, 5) == 5
-    assert arith.gcd(35, 6) == 1
-    assert arith.gcd(0, 0) == 0
-
-
-def test_gcd_euclid_property():
-    rng = random.Random(7)
-    for _ in range(500):
-        a, b = rng.randint(0, 10**9), rng.randint(1, 10**9)
-        assert arith.gcd(a, b) == arith.gcd(b, a)
-        assert arith.gcd(a, b) == arith.gcd(b, a % b)
 
 
 def brute_inverse(a, m):

@@ -14,7 +14,6 @@ from floerrank.errors import (
     NotControlledError,
     NotCoprimeError,
     NotEmbeddingError,
-    NotMemberError,
     NotRigidError,
     NotSemiImmersionError,
 )
@@ -31,7 +30,7 @@ from floerrank.morphism import (
 
 from conftest import random_tuple
 from morphism_oracle import rigid_extend
-from semigroup_oracle import membership
+from semigroup_oracle import membership, two_generator
 
 
 def identity_morphism(ds):
@@ -121,14 +120,13 @@ def test_right_veering_swap():
 
 def test_defect_table():
     ds = from_values([1, -2, 3, -2])
-    table = identity_morphism(ds).defect_table()
-    assert not table.bad.size and not table.good.size
-    assert set(table.neutral) == set(ds.positions)
+    m = identity_morphism(ds)
+    assert m.defect_table().tolist() == [0, 0, 0, 0]
+    assert m.defect_table() is m.defect_table() and not m.defect_table().flags.writeable
 
     src = from_values([2, -1])
     tgt = from_values([1, -1])
-    table = DeltaMorphism(src, tgt, [0, 1]).defect_table()
-    assert table.bad.tolist() == [0] and table.defects.tolist() == [1, 0]
+    assert DeltaMorphism(src, tgt, [0, 1]).defect_table().tolist() == [1, 0]
 
     not_semi = DeltaMorphism(from_values([1, -1]), from_values([1, -1, 1]),
                              [2, 1])
@@ -136,20 +134,100 @@ def test_defect_table():
         not_semi.defect_table()
 
 
+def identity_map(source_values, target_values):
+    return DeltaMorphism(from_values(source_values), from_values(target_values),
+                         np.arange(len(source_values)))
+
+
 def test_control_function_checks():
     ds = from_values([1, -2, 3, -2])
-    assert is_control_function(identity_morphism(ds), {})
+    assert is_control_function(identity_morphism(ds), [])
+    assert is_control_function(identity_morphism(ds), np.array([], dtype=np.int64))
 
-    # bad point at 1 controlled by the good point at 0 (positive side)
-    src = from_values([1, 2, -3])
-    tgt = from_values([2, 1, -3])
-    m = DeltaMorphism(src, tgt, [0, 1, 2])
-    assert is_control_function(m, {1: 0})
+    # bad index 1 controlled by the good index 0 (positive side)
+    m = identity_map([1, 2, -3], [2, 1, -3])
+    assert is_control_function(m, [0])
     # wrong direction: positive control must sit left of its bad point
-    src2 = from_values([2, 1, -3])
-    tgt2 = from_values([1, 2, -3])
-    m2 = DeltaMorphism(src2, tgt2, [0, 1, 2])
-    assert not is_control_function(m2, {0: 1})
+    m2 = identity_map([2, 1, -3], [1, 2, -3])
+    assert not is_control_function(m2, [1])
+    # negative side: control must sit right of its bad point
+    assert is_control_function(identity_map([3, -2, -1], [3, -1, -2]), [2])
+    assert not is_control_function(identity_map([3, -1, -2], [3, -2, -1]), [1])
+
+
+# hand-built one-to-one semi-immersions (identity index maps), a valid theta
+# for each, and thetas that are not control functions for it
+HAND_CONTROLLED = [
+    ([1, 2, -3], [2, 1, -3], [0]),                  # defects -1, 1, 0
+    ([1, 1, 2, 2, -6], [2, 2, 1, 1, -6], [1, 0]),   # -1, -1, 1, 1, 0
+    ([1, 1, 2, -4], [1, 2, 1, -4], [1]),            # 0, -1, 1, 0
+    ([3, -2, -1], [3, -1, -2], [2]),                # 0, 1, -1 (negative side)
+]
+HAND_REFUSED = [
+    (0, [], "wrong length"),
+    (0, [0, 0], "wrong length"),
+    (0, [-1], "index below 0"),
+    (0, [3], "index past the source"),
+    (0, [0.0], "not an integer array"),
+    (1, [0, 0], "repeated partner"),
+    (1, [1, 2], "partner with positive defect"),
+    (2, [0], "partner with zero defect"),
+]
+
+
+def test_hand_built_thetas_refused():
+    maps = [identity_map(src, tgt) for src, tgt, _ in HAND_CONTROLLED]
+    for m, (_, _, theta) in zip(maps, HAND_CONTROLLED):
+        assert is_control_function(m, theta)
+        assert fix_defects(m, np.array(theta))[2].is_immersion()
+    for which, theta, why in HAND_REFUSED:
+        assert not is_control_function(maps[which], theta), why
+        with pytest.raises(NotControlledError):
+            fix_defects(maps[which], theta)
+    # a good partner on the wrong side (either sign class) or of the wrong sign
+    for src, tgt, theta in [([2, 1, -3], [1, 2, -3], [1]), ([3, -1, -2], [3, -2, -1], [1]),
+                            ([3, -1, 2, -4], [3, -2, 1, -4], [1])]:
+        m = identity_map(src, tgt)
+        assert not is_control_function(m, theta)
+        with pytest.raises(NotControlledError):
+            fix_defects(m, theta)
+
+
+def refused_pinch_thetas(m, theta):
+    """Thetas that break one condition each on a pinch map with bad points."""
+    defects, values = m.defect_table(), m.source.values
+    b = np.flatnonzero(defects > 0)[0]
+    sign = values > 0 if values[b] > 0 else values < 0
+    left, right = np.arange(len(values)) < b, np.arange(len(values)) > b
+    on_side, off_side = (left, right) if values[b] > 0 else (right, left)
+
+    def replaced(partner):
+        out = theta.copy()
+        out[0] = partner
+        return out
+
+    yield "wrong length", theta[:-1]
+    yield "wrong length", np.append(theta, theta[0])
+    yield "index below 0", replaced(-1)
+    yield "index past the source", replaced(len(values))
+    yield "repeated partner", replaced(theta[1])
+    yield "partner with zero defect", replaced(np.flatnonzero((defects == 0) & sign & on_side)[-1])
+    yield "partner is a bad point", replaced(b)
+    yield "partner on the wrong side", replaced(np.flatnonzero((defects < 0) & sign & off_side)[0])
+
+
+def test_pinch_thetas_refused():
+    m, theta = pinch_semi_immersion((2, 3, 7), 5, 13)
+    assert len(theta) == 2 and is_control_function(m, theta)
+    with pytest.raises(ValueError, match="read-only"):
+        theta[0] = 0
+    refused = 0
+    for why, bad_theta in refused_pinch_thetas(m, theta):
+        assert not is_control_function(m, bad_theta), why
+        with pytest.raises(NotControlledError):
+            fix_defects(m, bad_theta)
+        refused += 1
+    assert refused == 8
 
 
 def test_embed_to_subsequence_identity():
@@ -229,7 +307,7 @@ def test_embed_to_subsequence_random_round_trip(rng):
 
 def test_fix_defects_no_bad_points():
     ds = from_values([1, -2, 3, -2])
-    s, t, fixed = fix_defects(identity_morphism(ds), {})
+    s, t, fixed = fix_defects(identity_morphism(ds), [])
     assert s == ds and t == ds and fixed.is_immersion()
 
 
@@ -237,7 +315,7 @@ def test_fix_defects_single_pair():
     src = from_values([1, 2, -3])
     tgt = from_values([2, 1, -3])
     m = DeltaMorphism(src, tgt, [0, 1, 2])
-    s, t, fixed = fix_defects(m, {1: 0})
+    s, t, fixed = fix_defects(m, np.array([0]))
     assert fixed.is_injective() and fixed.is_immersion()
     assert len(s) == len(src) + 1 and len(t) == len(tgt) + 1
     assert s.rank().rank_red == src.rank().rank_red
@@ -248,7 +326,7 @@ def test_fix_defects_needs_control():
     tgt = from_values([1, 2, -3])
     m = DeltaMorphism(src, tgt, [0, 1, 2])
     with pytest.raises(NotControlledError):
-        fix_defects(m, {0: 1})
+        fix_defects(m, np.array([1]))
 
 
 def test_branched_cover_examples():
@@ -298,56 +376,65 @@ def test_partial_order_immersion_examples():
 
 def test_two_gen_psi():
     S = TwoGenSemigroup(2, 3)
-    assert [S.psi(x) for x in range(3)] == [0, 2, 3]
-    assert S.psi(5) == 6
-    assert TwoGenSemigroup(5, 7).psi(0) == 0
+    assert S.psi_array(np.arange(6)).tolist() == [0, 2, 3, 4, 5, 6]
+    assert TwoGenSemigroup(5, 7).psi_array(np.array([0])).tolist() == [0]
+    with pytest.raises(NotCoprimeError):
+        TwoGenSemigroup(4, 6)
 
 
 def test_two_gen_delta_functions():
+    # the lower delta at hand members of <2, 3>, then against the sieve's
+    # count of the ways to write each member
     S = TwoGenSemigroup(2, 3)
-    assert S.delta_upper(0) == 1 and S.delta_upper(6) == 2 and S.delta_upper(5) == 1
-    assert S.delta_lower(0) == 1
-    assert S.delta_lower(7) == 1  # 7 = 2*2 + 3*1
-    assert S.delta_lower(6) == 2  # 6 = 3*2
-    with pytest.raises(NotMemberError):
-        S.delta_lower(1)
+    members = np.array([0, 7, 6, 12])     # 7 = 2*2 + 3*1, 6 = 3*2 = 2*3
+    assert S._delta_lower(members).tolist() == [1, 1, 2, 3]
+    for q, r in [(2, 3), (3, 5), (4, 9), (5, 7)]:
+        view = two_generator(q, r, 6 * q * r)
+        x = np.arange(view.psi.size)
+        lower = 1 + x // (q * r) - view.defect
+        assert np.array_equal(TwoGenSemigroup(q, r)._delta_lower(view.psi), lower)
 
 
 def test_two_gen_theta():
     S = TwoGenSemigroup(2, 3)
-    assert S.theta(6) == 5
-    assert S.psi(5) == 6 and S.delta_lower(6) == 2 and S.delta_upper(5) == 1
-    assert S.theta(12) == 11
+    # 6 and 12 are bad: psi(6) = 7 = 2*2 + 3*1 has lower delta 1 < 2
+    assert S.theta_array(np.array([6, 12])).tolist() == [5, 11]
+    assert two_generator(2, 3, 20).theta == {6: 5, 12: 11, 18: 17}
     with pytest.raises(NotBadError):
-        S.theta(5)
+        S.theta_array(np.array([6, 5]))
 
 
 def test_two_gen_gap_count_and_symmetry():
+    # psi below the shift is the sieve's members below the Frobenius number
     for q, r in [(2, 3), (3, 5), (4, 9), (5, 7), (8, 13)]:
         S = TwoGenSemigroup(q, r)
-        assert len(S.gaps()) == (q - 1) * (r - 1) // 2
-        F = S.frobenius
-        for x in range(F + 1):
-            assert (x in S) == (F - x not in S)
+        F = q * r - q - r
+        member = two_generator(q, r, F).member
+        assert np.count_nonzero(~member) == S.shift == (q - 1) * (r - 1) // 2
+        assert np.array_equal(member, ~member[::-1])
+        assert np.array_equal(S.psi_array(np.arange(S.shift)), np.flatnonzero(member))
+        assert S.psi_array(np.array([S.shift])).tolist() == [F + 1]
 
 
 def test_two_gen_psi_is_sorted_member_list():
     S = TwoGenSemigroup(5, 7)
-    members = S.members_upto(100)
-    assert [S.psi(i) for i in range(len(members))] == members
-    assert S.psi(S.shift) == (S.q - 1) * (S.r - 1)
+    members = two_generator(5, 7, 100).psi
+    assert np.array_equal(S.psi_array(np.arange(members.size)), members)
+    assert S.psi_array(np.array([S.shift])).tolist() == [(5 - 1) * (7 - 1)]
 
 
 def test_two_gen_bad_point_window():
     for q, r in [(2, 3), (3, 4), (5, 7), (4, 11)]:
         S = TwoGenSemigroup(q, r)
-        qr, s0 = q * r, S.shift
-        for b in S.bad_points_upto(4 * qr):
-            k = b // qr
-            assert k >= 1 and k * qr <= b < k * qr + s0
-            assert S.defect(b) == 1
-            g = S.theta(b)
-            assert S.defect(g) == -1 and g < b
+        qr = q * r
+        view = two_generator(q, r, 4 * qr + S.shift)
+        bad = np.flatnonzero(view.defect > 0)
+        k = bad // qr
+        assert np.all((k >= 1) & (bad < k * qr + S.shift))
+        assert np.all(view.defect[bad] == 1)
+        partners = S.theta_array(bad)
+        assert partners.tolist() == [view.theta[b] for b in bad.tolist()]
+        assert np.all((view.defect[partners] == -1) & (partners < bad))
 
 
 def test_pinch_examples():
@@ -363,11 +450,11 @@ def test_pinch_with_bad_points():
     # base (2,3,7) with (q,r)=(5,13): member 2730 = 42*65 has fiber
     # coordinate 65 = qr, and psi(65) - 65 = 24 is a semigroup gap
     m, theta = pinch_semi_immersion((2, 3, 7), 5, 13)
-    table = m.defect_table()
-    assert 2730 in table.bad
+    defects = m.defect_table()
+    assert 2730 in m.source.positions[defects > 0]
     assert m.is_semi_immersion() and not m.is_immersion()
     assert is_control_function(m, theta)
-    assert all(abs(d) <= 1 for d in table.defects.tolist())
+    assert np.all(np.abs(defects) <= 1)
     s2, t2, fixed = fix_defects(m, theta)
     assert fixed.is_injective() and fixed.is_immersion()
     # the repair refines but never changes either rank
@@ -409,7 +496,7 @@ def test_pinch_witness_properties(case):
     m, theta = pinch_semi_immersion(base, q, r)
     assert m.is_injective() and m.is_semi_immersion()
     assert is_control_function(m, theta)
-    assert np.all(np.abs(m.defect_table().defects) <= 1)
+    assert np.all(np.abs(m.defect_table()) <= 1)
     s2, t2, fixed = fix_defects(m, theta)
     assert fixed.is_injective() and fixed.is_immersion()
     # the repair refines without changing ranks, and the pinched rank is the smaller
