@@ -35,8 +35,9 @@ Summary ranks come straight from the extrema:
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ def compress_extrema(tau) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     vertex_id: tuple  # (min ray index, grading): deterministic
     grading: int
 
@@ -220,7 +220,8 @@ class GradedRoot:
 
     def vertices(self) -> list:
         ids = self._ids()
-        return list(map(Vertex, ids, [h for _, h in ids]))
+        # tuple.__new__ builds each Vertex in C, past NamedTuple's Python __new__
+        return list(map(tuple.__new__, repeat(Vertex), zip(ids, map(itemgetter(1), ids))))
 
     def edges(self) -> list:
         """(child id, parent id) pairs inside the window."""

@@ -22,7 +22,8 @@ The ranks come from one kernel, walk_statistics.  It reads kappa, min tau
 and the sign-change count off the tau walk (the formula view; the graded
 root's extrema give the same numbers and are a test oracle).  By the
 antisymmetry it walks only n < N/2, and it evaluates delta there in chunks
-of fixed size, so its memory stays flat as N grows.
+of fixed size, so its memory stays flat as N grows.  Each chunk is first
+compacted to its nonzeros, and every statistic is read off those alone.
 
 Each ceiling term is quasi-periodic, ceil((n + p) p'/p) = ceil(n p'/p) + p',
 so a group of fibers with period Q (the product of its multiplicities)
@@ -276,7 +277,15 @@ def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
     is negative, and the final descent adds one: c = 2 c_half + [last < 0]
     + 1.  delta is evaluated _CHUNK values at a time, carrying tau, its
     minimum, the change count and the last nonzero sign from chunk to
-    chunk, so memory is flat in N.  A fiber group whose period the half
+    chunk, so memory is flat in N.  Each chunk is compacted to its nonzeros
+    first (compress, about half the cost of boolean indexing), and the
+    statistics are read off them alone: zeros add nothing to kappa, repeat
+    a prefix sum of tau, and sit between the two signs of a change.  The
+    sign masks go into two boolean buffers allocated once per walk and the
+    prefix sums overwrite the nonzeros, so a chunk allocates only its
+    nonzeros (with compress's index array) and their absolute values; an
+    int64 buffer held for the walk would sit beside that index array and
+    raise the walk's peak.  A fiber group whose period the half
     walks past more than once is read from a table of its period (see
     _delta_chunks) instead of being divided out on every chunk; a walk of
     one chunk builds no table.
@@ -289,18 +298,25 @@ def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
     inv = normalized_invariants(t)
     N = n_cutoff(t)
     _check_delta_range(t, inv, N)
-    kappa = tau = min_tau = changes = last = 0
-    for d in _delta_chunks(inv, (N + 1) // 2, counts=counts):
-        kappa += int(np.abs(d).sum())
-        walk = np.cumsum(d)
+    half = (N + 1) // 2
+    m = min(_CHUNK, half)
+    mask, edge = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+    kappa = tau = min_tau = changes = 0
+    negative = False            # the last nonzero delta so far is negative
+    for d in _delta_chunks(inv, half, counts=counts):
+        nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
+        if not nz.size:
+            continue
+        neg = np.less(nz, 0, out=mask[:nz.size])
+        # a - to + change is a negative followed by a positive: True > False
+        changes += negative and not neg[0]
+        changes += int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
+        negative = bool(neg[-1])
+        kappa += int(np.abs(nz).sum())
+        walk = np.cumsum(nz, out=nz)
         min_tau = min(min_tau, tau + int(walk.min()))
         tau += int(walk[-1])
-        nz = d[d != 0]
-        if nz.size:
-            changes += int(np.count_nonzero((nz[:-1] < 0) & (nz[1:] > 0)))
-            changes += int(last < 0 and nz[0] > 0)
-            last = int(nz[-1])
-    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + (last < 0) + 1)
+    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + negative + 1)
 
 
 def rank_pair(t: SeifertTuple) -> tuple:

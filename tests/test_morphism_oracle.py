@@ -12,6 +12,7 @@ target indices with the ones the public constructor builds from positions.
 """
 
 import random
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -385,6 +386,17 @@ values_lists = st.lists(st.integers(1, 4) | st.integers(-4, -1), min_size=0, max
 @st.composite
 def random_maps(draw):
     src = from_values(draw(values_lists))
+    if len(src) and draw(st.integers(0, 2)) == 0:
+        # an order- and sign-preserving injection into a target of random
+        # magnitudes: a one-to-one semi-immersion, often with bad points
+        values, index = [], []
+        for i, v in enumerate(src.values.tolist()):
+            if i:
+                values += draw(st.lists(st.integers(-4, 4).filter(bool), max_size=2))
+            index.append(len(values))
+            values.append(draw(st.integers(1, 4)) * (1 if v > 0 else -1))
+        tgt = from_values(values)
+        return DeltaMorphism(src, tgt, tgt.positions[index])
     roomy = draw(st.sampled_from([1, 8]))    # 8: fibers rarely overload
     tgt = from_values([roomy * v for v in draw(values_lists.filter(bool))])
     index = np.array(draw(st.lists(st.integers(0, len(tgt) - 1),
@@ -401,26 +413,40 @@ def random_maps(draw):
     return DeltaMorphism(src, tgt, tgt.positions[index])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(random_maps())
-def test_random_maps_match_oracle(m):
-    assert_agrees(m)
-    try:
-        defects = m.defect_table()
-    except NotSemiImmersionError:
-        return
-    oracle = morphism_oracle.from_morphism(m)
-    # pair each bad index with the nearest good index on its allowed side; a
-    # bad index with none is left out of both thetas, so neither is a control
-    # function
-    good = np.flatnonzero(defects < 0)
-    theta, by_position = [], {}
-    for b in np.flatnonzero(defects > 0).tolist():
-        positive = m.source.values[b] > 0
-        side = good[good < b] if positive else good[good > b]
-        if side.size:
-            g = int(side[-1] if positive else side[0])
-            theta.append(g)
-            by_position[int(m.source.positions[b])] = int(m.source.positions[g])
-    assert (morphism.is_control_function(m, np.array(theta, dtype=np.int64))
-            == morphism_oracle.is_control_function(oracle, by_position))
+def test_random_maps_match_oracle():
+    verdicts = Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(random_maps())
+    def check(m):
+        assert_agrees(m)
+        try:
+            defects = m.defect_table()
+        except NotSemiImmersionError:
+            return
+        oracle = morphism_oracle.from_morphism(m)
+        # pair each bad index with a distinct good index on its allowed side,
+        # the nearest free one of its sign that absorbs its defect, else the
+        # nearest free one; a bad index with none is left out of both thetas,
+        # so neither is a control function
+        values, positions = m.source.values.tolist(), m.source.positions.tolist()
+        good = np.flatnonzero(defects < 0).tolist()
+        theta, by_position, used = [], {}, set()
+        for b in np.flatnonzero(defects > 0).tolist():
+            positive = values[b] > 0
+            side = [g for g in (good[::-1] if positive else good)
+                    if (g < b if positive else g > b) and g not in used]
+            fits = [g for g in side
+                    if (values[g] > 0) == positive and defects[b] <= -defects[g]]
+            if side:
+                g = (fits or side)[0]
+                used.add(g)
+                theta.append(g)
+                by_position[positions[b]] = positions[g]
+        verdict = morphism.is_control_function(m, np.array(theta, dtype=np.int64))
+        assert verdict == morphism_oracle.is_control_function(oracle, by_position)
+        verdicts[bool(theta), verdict] += 1
+
+    check()
+    # control functions with bad points, and pairings that are not one
+    assert verdicts[True, True] and verdicts[True, False], verdicts

@@ -14,7 +14,8 @@ from floerrank.errors import NonPositiveEntryError, NotCoprimeError
 
 from conftest import random_tuple
 from semigroup_oracle import membership, membership_k_array, normal_forms, semigroup_sieve
-from walk_oracle import assert_matches_oracle, dense_delta, dense_tau, dense_walk
+from walk_oracle import (assert_matches_oracle, chunked_walk, dense_delta, dense_tau,
+                         dense_walk)
 
 
 def test_make_tuple_canonicalizes():
@@ -193,26 +194,59 @@ def test_walk_kernel_matches_dense_oracle():
     assert parities == {0, 1}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("chunk", [None, 1, 2, 7, 64])
 def test_walk_kernel_chunk_boundaries(monkeypatch, chunk):
-    monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    # the kernel against the dense views and against the chunked loop it
+    # replaced, at the default chunk and at chunks that split every carry
+    if chunk:
+        monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    size = seifert._CHUNK
     rng = random.Random(42)
-    ends_on_zero = splits_change = False
-    for _ in range(30):
-        t = random_tuple(rng, lengths=(3, 3, 4, 5), max_product=6000)
+    corpus = [random_tuple(rng, lengths=(3, 3, 4, 5), max_product=6000) for _ in range(30)]
+    if size >= 7:   # a zero run of 26
+        corpus.append(seifert.make_tuple([13, 15, 17, 19]))
+    if chunk is None:   # more chunks at the default
+        corpus.append(seifert.make_tuple([2, 3, 5, 7, 11, 13]))
+    seen = set()
+    for t in corpus:
         assert_matches_oracle(t)
+        got = seifert.walk_statistics(t)
+        assert (got.kappa, got.min_tau, got.c) == chunked_walk(t), t
         N = seifert.n_cutoff(t)
         half = seifert.delta_array(t, N)[:(N + 1) // 2]
-        ends = np.arange(chunk - 1, len(half) - 1, chunk)   # last n of each chunk
-        ends_on_zero |= bool((half[ends] == 0).any())
+        zero = half == 0
+        if zero[::size].any():
+            seen.add("starts on zero")
+        if zero[size - 1::size].any():
+            seen.add("ends on zero")
+        if zero[:len(half) // size * size].reshape(-1, size).all(axis=1).any():
+            seen.add("all zeros")
+        ends = np.arange(size - 1, len(half) - 1, size)   # last n of each chunk
         # nonzero delta on either side of a boundary changes from - to +
         nz_at = np.flatnonzero(half)
         after = np.searchsorted(nz_at, ends, side="right")
         inside = (after > 0) & (after < len(nz_at))
         before_vals = half[nz_at[after[inside] - 1]]
         after_vals = half[nz_at[after[inside]]]
-        splits_change |= bool(((before_vals < 0) & (after_vals > 0)).any())
-    assert ends_on_zero and splits_change
+        if ((before_vals < 0) & (after_vals > 0)).any():
+            seen.add("splits a change")
+    want = {"starts on zero", "ends on zero", "splits a change"}
+    if size <= 7:   # the zero run of 26 holds a whole chunk of 7, not one of 64
+        want.add("all zeros")
+    assert want <= seen
+
+
+@pytest.mark.parametrize("ms, kappa, min_tau, c", [
+    ((2, 3, 5, 7, 11, 163), 405960, -349950, 53936),
+    ((2, 3, 5, 7, 11, 13, 17), 922733, -825720, 81120),
+    ((2, 3, 5, 344827), 1896541, -1206888, 678159),
+])
+def test_walk_kernel_large_records(ms, kappa, min_tau, c):
+    # records of the rank benchmark's fixed tuples, cutoffs 1.0e6 to 1.0e7
+    t = seifert.make_tuple(ms)
+    got = seifert.walk_statistics(t)
+    assert (got.kappa, got.min_tau, got.c) == (kappa, min_tau, c)
+    assert chunked_walk(t) == (kappa, min_tau, c)
 
 
 def test_walk_statistics_degenerate():

@@ -6,6 +6,11 @@ the formula view (kappa, min tau, c) and the graded-root extrema view
 (leaf_count, red_total).  The library keeps only the formula view, walked
 in chunks over half of [0, N] with some fibers read from period tables;
 the tests compare it with both views here.
+
+chunked_walk is the kernel's per-chunk loop from before the kernel
+compacted each chunk first: the same chunks, with the statistics read by
+boolean indexing and fresh arrays.  It checks the carries between chunks,
+which the dense views do not have.
 """
 
 from dataclasses import dataclass
@@ -75,6 +80,27 @@ def dense_walk(t: SeifertTuple) -> DenseWalk:
     red_total = int(maxima.sum() - minima.sum() + minima.min())
     return DenseWalk(kappa=kappa, min_tau=min_tau, c=c,
                      leaf_count=leaf_count, red_total=red_total)
+
+
+def chunked_walk(t: SeifertTuple) -> tuple:
+    """(kappa, min_tau, c) of the half walk over seifert._delta_chunks,
+    carrying tau, its minimum, the - to + count and the last nonzero delta
+    from chunk to chunk."""
+    if t.is_degenerate:
+        return 0, 0, 0
+    N = seifert.n_cutoff(t)
+    kappa = tau = min_tau = changes = last = 0
+    for d in seifert._delta_chunks(seifert.normalized_invariants(t), (N + 1) // 2):
+        kappa += int(np.abs(d).sum())
+        walk = np.cumsum(d)
+        min_tau = min(min_tau, tau + int(walk.min()))
+        tau += int(walk[-1])
+        nz = d[d != 0]
+        if nz.size:
+            changes += int(np.count_nonzero((nz[:-1] < 0) & (nz[1:] > 0)))
+            changes += int(last < 0 and nz[0] > 0)
+            last = int(nz[-1])
+    return kappa, min_tau, 2 * changes + (last < 0) + 1
 
 
 def assert_matches_oracle(t: SeifertTuple) -> DenseWalk:
