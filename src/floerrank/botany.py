@@ -28,13 +28,13 @@ Only the reduced rank prunes.  The hat rank is not monotone under the
 partial order ((5,8,11) <= (5,9,11) has hat ranks 35 > 31), so a hat-rank
 bound would cut branches that still hold rows.
 
-Every rank goes through rank_red_of, the memoized walk_statistics kernel.
+Every rank goes through _Scan.rank, which walks each tuple once with the
+walk_statistics kernel and keeps its rank for the rest of the scan.
 """
 
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial, gcd
 
 from . import seifert
@@ -70,11 +70,6 @@ class BotanyResult:
             rows.append(f"{self.n},S3")
         rows.extend(f"{self.n}," + ",".join(str(p) for p in t) for t in self.tuples)
         return rows
-
-
-@lru_cache(maxsize=200_000)
-def rank_red_of(multiplicities: tuple) -> int:
-    return seifert.rank_pair(seifert.SeifertTuple(multiplicities))[0]
 
 
 def _coprime_tuples(length: int, p_max: int):
@@ -127,7 +122,8 @@ class _Scan:
     with regular:p).  Every cut reads the reduced rank: the hat rank is not
     monotone, so it bounds nothing.
 
-    counts is keyed by (fiber count, name): rank_evals (rank_red_of calls),
+    ranks holds every reduced rank the scan has read, so each tuple is walked
+    once.  counts is keyed by (fiber count, name): rank_evals (kernel walks),
     rows (tuples of rank 1..n_max found), order (walks stopped by cut (a)),
     prime_floor (loops stopped by cut (b)) and cover (rows refused as
     prefixes by cut (c)).
@@ -135,14 +131,14 @@ class _Scan:
 
     def __init__(self, n_max: int, counts: Counter):
         self.n_max = n_max
-        self.p_max = 6 * n_max + 6
+        self.p_max = bounds(n_max)[1]
         self.counts = counts
         self.ranks = {}
 
     def rank(self, t: tuple) -> int:
         if t not in self.ranks:
             self.counts[len(t), "rank_evals"] += 1
-            self.ranks[t] = rank_red_of(t)
+            self.ranks[t] = seifert.walk_statistics(seifert.SeifertTuple(t)).rank_red
         return self.ranks[t]
 
     def walk(self, prefix: tuple) -> dict:
@@ -210,19 +206,6 @@ class _Scan:
         return found
 
 
-def _rows_upto(n_max: int, counts) -> dict:
-    """{n: sorted tuples of reduced rank n} for 1 <= n <= n_max."""
-    found = _Scan(n_max, Counter() if counts is None else counts).run()
-    buckets = {n: [] for n in range(1, n_max + 1)}
-    for t, r in found.items():
-        if r >= 1:
-            buckets[r].append(t)
-    return {n: tuple(sorted(ts)) for n, ts in buckets.items()}
-
-
-_ROW_ZERO = BotanyResult(n=0, tuples=((2, 3, 5),), includes_s3=True)
-
-
 def solve(n: int, counts: Counter = None) -> BotanyResult:
     """Every Seifert homology sphere with reduced rank exactly n.
 
@@ -230,20 +213,21 @@ def solve(n: int, counts: Counter = None) -> BotanyResult:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return _ROW_ZERO
-    return BotanyResult(n=n, tuples=_rows_upto(n, counts)[n], includes_s3=False)
+    return table(n, counts)[n]
 
 
 def table(n_max: int, counts: Counter = None) -> dict:
     """Rows 0..n_max from one pruned scan; counts as in solve."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rows = {0: _ROW_ZERO}
-    if n_max == 0:
-        return rows
-    for n, tuples in _rows_upto(n_max, counts).items():
-        rows[n] = BotanyResult(n=n, tuples=tuples, includes_s3=False)
+    buckets = {n: [] for n in range(1, n_max + 1)}
+    if n_max:
+        for t, r in _Scan(n_max, Counter() if counts is None else counts).run().items():
+            if r >= 1:
+                buckets[r].append(t)
+    rows = {0: BotanyResult(n=0, tuples=((2, 3, 5),), includes_s3=True)}
+    for n, tuples in buckets.items():
+        rows[n] = BotanyResult(n=n, tuples=tuple(sorted(tuples)), includes_s3=False)
     return rows
 
 

@@ -90,16 +90,13 @@ def cmd_root(args) -> int:
 def cmd_botany(args) -> int:
     if args.table is not None and args.n is not None:
         raise ValueError(f"botany: give the rank {args.n} or --table {args.table}, not both")
+    if args.table is None and args.n is None:
+        raise ValueError("botany: give a rank or --table NMAX")
     counts = Counter() if args.stats else None
     if args.table is not None:
         rows = botany.table(args.table, counts)
     else:
-        if args.n is None:
-            print("botany: give a rank or --table NMAX", file=sys.stderr)
-            return USAGE_ERROR
         rows = {args.n: botany.solve(args.n, counts)}
-    if args.cache:
-        _write_cache(args.cache, rows)
     if args.json:
         sys.stdout.write(botany.table_json(rows))
     else:
@@ -107,50 +104,6 @@ def cmd_botany(args) -> int:
     if counts is not None:
         print(botany.stats_json(counts), file=sys.stderr)
     return 0
-
-
-def _write_cache(path: str, rows: dict):
-    """Append one JSON line per tuple: append-only, last write wins."""
-    with open(path, "a", encoding="utf-8") as fh:
-        for n in sorted(rows):
-            for t in rows[n].tuples:
-                tup = seifert.SeifertTuple(t)
-                entry = {
-                    "tuple": list(t),
-                    "rank_red": rows[n].n,
-                    "rank_hat": seifert.rank_pair(tup)[1],
-                    "n_cutoff": seifert.n_cutoff(tup),
-                    "version": __version__,
-                }
-                fh.write(json.dumps(entry) + "\n")
-
-
-def check_cache(path: str) -> int:
-    """Recompute every cached entry; nonzero exit on any mismatch."""
-    entries = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                tup = tuple(entry["tuple"])
-                entries[tup] = (seifert.SeifertTuple(tup), entry)
-    except (OSError, ValueError, OverflowError, KeyError, TypeError) as exc:
-        # ValueError covers bad JSON and tuples that are not canonical
-        print(f"cache unreadable: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    bad = 0
-    for tup, (t, entry) in sorted(entries.items()):
-        red, hat = seifert.rank_pair(t)
-        ok = (entry.get("rank_red") == red and entry.get("rank_hat") == hat
-              and entry.get("n_cutoff") == seifert.n_cutoff(t))
-        if not ok:
-            bad += 1
-            print(f"stale cache entry for {tup}", file=sys.stderr)
-    print(f"checked {len(entries)} cache entries, {bad} stale")
-    return VERDICT_ERROR if bad else 0
 
 
 def _extract_verify_options(tokens):
@@ -184,13 +137,11 @@ def cmd_verify(args) -> int:
         report = verify.verify_branched(t, 1 if n is None else n)
     elif args.which == "pinch":
         if len(tail) != 2:
-            print("verify pinch: usage P1 P2 ... -- Q R", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("verify pinch: usage P1 P2 ... -- Q R")
         report = verify.verify_pinch([int(a) for a in head], int(tail[0]), int(tail[1]))
     elif args.which == "monotone":
         if not tail:
-            print("verify monotone: usage P1 ... -- Q1 ...", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError("verify monotone: usage P1 ... -- Q1 ...")
         report = verify.verify_monotone(_tuple_from(head), _tuple_from(tail))
     else:   # degree; the parser admits no other verifier
         t = _tuple_from(head)
@@ -247,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bot = sub.add_parser("botany", help="tuples of a given reduced rank")
     p_bot.add_argument("n", nargs="?", type=int)
     p_bot.add_argument("--table", type=int, metavar="NMAX")
-    p_bot.add_argument("--cache", metavar="PATH")
-    p_bot.add_argument("--check-cache", metavar="PATH", dest="check_cache")
     p_bot.add_argument("--json", action="store_true")
     p_bot.add_argument("--stats", action="store_true",
                        help="write the scan's rank evaluations, rows and cuts "
@@ -273,8 +222,6 @@ def main(argv=None) -> int:
     handler = {"rank": cmd_rank, "root": cmd_root, "botany": cmd_botany,
                "verify": cmd_verify, "scan": cmd_scan}[args.command]
     try:
-        if args.command == "botany" and args.check_cache:
-            return check_cache(args.check_cache)
         return handler(args)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,6 +45,9 @@ from .errors import EmptySequenceError, UnknownFormatError
 
 # explicit trees above this many vertices are refused rather than built
 MAX_VERTICES = 10**6
+# ascii drawings above this many bytes are refused rather than painted: a
+# tree under MAX_VERTICES can still be hundreds of thousands of columns wide
+MAX_ASCII_BYTES = 64 * 2**20
 
 
 def compress_extrema(tau) -> list:
@@ -244,7 +247,8 @@ class GradedRoot:
         root's link is the stem.  Each row ends after its right-most mark, so
         the offset of every row is known before anything is painted, and the
         only buffer is the output's own: no grid of rows times columns is
-        built.
+        built.  An output above MAX_ASCII_BYTES is refused before that buffer
+        is allocated.
         """
         top, lo = self.stabilization, min(self.minima)
         _, depth, parent, col = self._build_structure()
@@ -264,7 +268,11 @@ class GradedRoot:
         np.maximum.at(end, mark_row, col + 1)
         np.maximum.at(end, link_row, link + 1)
         start = np.cumsum(end + 1) - (end + 1)
-        out = np.full(start[-1] + end[-1] + 1, ord(" "), np.uint8)
+        size = int(start[-1] + end[-1] + 1)
+        if size > MAX_ASCII_BYTES:
+            raise ValueError(f"ascii drawing of the graded root has {size} bytes, more "
+                             f"than the {MAX_ASCII_BYTES} a drawing may have")
+        out = np.full(size, ord(" "), np.uint8)
         labels = (f"%{label}d " * (top - lo + 1)) % tuple(range(top, lo - 1, -1))
         out[start[1::2, None] + np.arange(left)] = \
             np.frombuffer(labels.encode(), np.uint8).reshape(-1, left)

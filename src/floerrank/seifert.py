@@ -39,7 +39,6 @@ are built with, so a walk of one chunk does the work it always did.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,7 +107,6 @@ def _require_fibers(t: SeifertTuple):
         raise DegenerateTupleError("operation needs at least one multiplicity")
 
 
-@lru_cache(maxsize=4096)
 def normalized_invariants(t: SeifertTuple) -> NormalizedInvariants:
     """Normalized invariants of the tuple; the defining relation is verified."""
     _require_fibers(t)

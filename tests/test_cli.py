@@ -1,10 +1,12 @@
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,18 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_capped(*args, cap=1500 * 2**20, **kwargs):
+    """python ARGS in a subprocess that imports this checkout's floerrank,
+    under an address-space cap, so that a memory blow-up fails the test
+    instead of exhausting the machine."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), **kwargs)
 
 
 def test_rank_plain(capsys):
@@ -117,6 +131,31 @@ def test_botany_refuses_a_rank_with_table(capsys):
     assert err == "error: botany: give the rank 5 or --table 1, not both\n"
 
 
+def test_botany_refuses_neither_rank_nor_table(capsys):
+    assert run(capsys, "botany") == (2, "", "error: botany: give a rank or --table NMAX\n")
+
+
+def test_each_tuple_walked_once(capsys, monkeypatch):
+    # the scan's own memo is the only one: every tuple it ranks is walked
+    # once, and rank_evals counts those walks
+    walked = []
+    walk_statistics = seifert.walk_statistics
+
+    def counting(t, *args):
+        walked.append(t.multiplicities)
+        return walk_statistics(t, *args)
+
+    monkeypatch.setattr(seifert, "walk_statistics", counting)
+    counts = Counter()
+    botany.table(12, counts)
+    assert len(walked) == len(set(walked)) == 132
+    assert json.loads(botany.stats_json(counts))["rank_evals"] == 132
+    walked.clear()
+    code, _, err = run(capsys, "botany", "--table", "30", "--stats")
+    assert code == 0
+    assert len(walked) == len(set(walked)) == json.loads(err)["rank_evals"] == 436
+
+
 def test_botany_single(capsys):
     code, out, _ = run(capsys, "botany", "1")
     assert code == 0
@@ -148,7 +187,6 @@ def test_parser_reused_across_commands(capsys):
 
 def test_botany_above_twelve_within_seconds(capsys):
     for argv, lines in ((["botany", "20"], 17), (["botany", "--table", "30"], 373)):
-        botany.rank_red_of.cache_clear()
         started = time.monotonic()
         code, out, err = run(capsys, *argv)
         assert time.monotonic() - started < 5, argv
@@ -190,19 +228,24 @@ def test_rank_stats_leaves_stdout_unchanged(capsys):
 def test_dense_sequence_refused_under_memory_cap():
     # N = 44,080,457 and 35,431,817: the sequences would need gigabytes, so
     # both commands refuse before allocating, even under a 1.5 GB cap
-    cap = 1500 * 2**20
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
     for argv in (["root", "2", "3", "5", "7", "11", "13", "17", "19"],
                  ["verify", "branched", "2", "3", "5", "7", "11", "13", "17", "--n", "19"]):
-        proc = subprocess.run(
-            [sys.executable, "-m", "floerrank.cli", *argv], env=env, capture_output=True,
-            text=True, timeout=60,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        proc = run_capped("-m", "floerrank.cli", *argv)
         assert proc.returncode == 2 and proc.stdout == "", argv
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: delta sequence of ("), proc.stderr
+
+
+def test_wide_ascii_drawing_refused_under_memory_cap():
+    # both trees are under MAX_VERTICES (500,366 vertices for the first), but
+    # their drawings would take 121.7 GB and 4.5 GB: refused before the
+    # output buffer is allocated, even under a 1.5 GB cap
+    for argv, size in ((["root", "25", "29", "34", "39"], 121732108131),
+                       (["root", "13", "17", "25", "36"], 4463407785)):
+        proc = run_capped("-m", "floerrank.cli", *argv)
+        assert proc.returncode == 2 and proc.stdout == "", argv
+        assert proc.stderr == (f"error: ascii drawing of the graded root has {size} bytes, "
+                               f"more than the {64 * 2**20} a drawing may have\n"), argv
 
 
 def test_oversize_verifier_input_refused_before_any_work(capsys, monkeypatch):
@@ -279,8 +322,10 @@ def test_verify_branched_refuses_degree_below_one(capsys, argv):
 
 
 def test_verify_bad_usage(capsys):
-    code, _, err = run(capsys, "verify", "pinch", "2", "3")
-    assert code == 2
+    for argv, message in ((("pinch", "2", "3"), "verify pinch: usage P1 P2 ... -- Q R"),
+                          (("pinch", "2", "3", "--", "5"), "verify pinch: usage P1 P2 ... -- Q R"),
+                          (("monotone", "2", "3", "7"), "verify monotone: usage P1 ... -- Q1 ...")):
+        assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n"), argv
 
 
 @pytest.mark.parametrize("argv", [("verify", "branched", "2", "3", "7", "--n"),
@@ -341,38 +386,112 @@ def test_scan_refuses_a_negative_length(capsys):
     assert err == "error: --length -1: a scan length must be non-negative\n"
 
 
-def test_cache_round_trip(tmp_path, capsys):
-    cache = tmp_path / "ranks.jsonl"
-    code, _, _ = run(capsys, "botany", "1", "--cache", str(cache))
-    assert code == 0
-    lines = [json.loads(line) for line in cache.read_text().splitlines()]
-    assert [e["tuple"] for e in lines] == [[2, 3, 7], [2, 3, 11]]
-    code, out, _ = run(capsys, "botany", "--check-cache", str(cache))
-    assert code == 0
-    assert "0 stale" in out
-    # append-only: a second write doubles the lines, check still passes
-    code, _, _ = run(capsys, "botany", "1", "--cache", str(cache))
-    assert len(cache.read_text().splitlines()) == 4
-    code, out, _ = run(capsys, "botany", "--check-cache", str(cache))
-    assert code == 0
+# runs each argv it reads from stdin through cli.main in this one process,
+# and writes [exit status, stdout length, stderr, escaped exception] for each
+FUZZ_RUNNER = """
+import contextlib, io, json, sys
+from floerrank import cli
+
+results = []
+for argv in json.load(sys.stdin):
+    out, err, escaped = io.StringIO(), io.StringIO(), None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            code, escaped = None, f"{type(exc).__name__}: {exc}"
+    results.append([code, len(out.getvalue()), err.getvalue(), escaped])
+json.dump(results, sys.stdout)
+"""
+
+FUZZ_JUNK = ["x", "-", "--", "1.5", "", "-0", "99999999999999999999", "--json", "--csv",
+             "--stats", "--format", "bogus", "--tau", "--table", "--n", "--move", "--length",
+             "--n=2", "--move=regular:5"]
 
 
-def test_cache_detects_stale_and_malformed(tmp_path, capsys):
-    cache = tmp_path / "ranks.jsonl"
-    cache.write_text(json.dumps({"tuple": [2, 3, 7], "rank_red": 99,
-                                 "rank_hat": 3, "n_cutoff": 1}) + "\n")
-    code, out, err = run(capsys, "botany", "--check-cache", str(cache))
-    assert code == 1 and "stale" in err
-    cache.write_text("{not json\n")
-    code, _, err = run(capsys, "botany", "--check-cache", str(cache))
-    assert code == 2
-    # an invalid tuple is malformed input, not a stale entry
-    for bad in ([2, 4, 7], [7, 3, 2], [1, 3, 7]):
-        cache.write_text(json.dumps({"tuple": bad, "rank_red": 1, "rank_hat": 3,
-                                     "n_cutoff": 1}) + "\n")
-        code, out, err = run(capsys, "botany", "--check-cache", str(cache))
-        assert code == 2 and out == "", bad
-        assert err.startswith("cache unreadable:") and len(err.splitlines()) == 1, bad
+def fuzz_argvs(rng: random.Random, count: int) -> list:
+    """Command lines over the five subcommands: mostly well formed, with small
+    entries so that each runs in milliseconds, then some tokens replaced,
+    dropped or added."""
+    def ints(lo, hi, pool=(-3, 0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 13)):
+        k = rng.randint(lo, hi)
+        if rng.random() < 0.6:      # distinct primes and 1s: a valid tuple
+            return [str(p) for p in rng.sample((1, 2, 3, 5, 7, 11, 13), min(k, 7))]
+        return [str(rng.choice(pool)) for _ in range(k)]
+
+    def small(lo, hi):
+        return str(rng.randint(lo, hi))
+
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(["rank", "root", "botany", "verify", "scan"])
+        if command == "rank":
+            argv = ["rank", *ints(0, 5), *rng.sample(["--json", "--csv", "--stats"], rng.randint(0, 2))]
+        elif command == "root":
+            argv = ["root", *ints(0, 5)]
+            if rng.random() < 0.2:
+                argv += ["--tau", *ints(0, 6, pool=range(-4, 5))]
+            if rng.random() < 0.5:
+                argv += ["--format", rng.choice(["ascii", "dot", "svg", "png"])]
+        elif command == "botany":
+            argv = ["botany", *rng.choice([[small(-3, 14)], ["--table", small(-2, 14)],
+                                           [small(0, 3), "--table", small(0, 3)], []])]
+            argv += rng.sample(["--json", "--stats"], rng.randint(0, 2))
+        elif command == "verify":
+            which = rng.choice(["branched", "pinch", "monotone", "degree", "hat"])
+            argv = ["verify", which, *ints(1, 5)]
+            if rng.random() < (0.9 if which in ("pinch", "monotone") else 0.1):
+                argv += ["--", *(ints(2, 2) if which == "pinch" else ints(1, 5))]
+            if rng.random() < (0.7 if which == "branched" else 0.1):
+                argv += ["--n", small(-1, 5)]
+            for _ in range(rng.choice([1, 2] if which == "degree" else [0] * 9 + [1])):
+                argv += ["--move", rng.choice(["pinch:5,7", "pinch:2,3", "fiber:2,3", "fiber:3,9",
+                                               "regular:5", "regular:1", "regular:x", "pinch:",
+                                               "drop:2"])]
+        else:
+            argv = ["scan", small(-2, 14)]
+            if rng.random() < 0.4:
+                argv += ["--length", small(-1, 5)]
+        for _ in range(rng.choice([0, 0, 0, 1, 2])):
+            i = rng.randrange(len(argv) + 1)
+            action = rng.choice(["replace", "drop", "insert"])
+            if action == "insert" or i == len(argv):
+                argv.insert(i, rng.choice(FUZZ_JUNK))
+            elif action == "replace":
+                argv[i] = rng.choice(FUZZ_JUNK)
+            else:
+                del argv[i]
+        argvs.append(argv)
+    return argvs
+
+
+def test_cli_fuzz_exits_cleanly():
+    # every command line gets an answer (0), a failing verdict (1) or one
+    # error line (2; argparse's own usage message for what it rejects), with
+    # no exception escaping main; the first five are inputs that once
+    # escaped main or printed a bare message
+    argvs = [["botany"], ["verify", "pinch", "2", "3", "--", "5"],
+             ["verify", "monotone", "2", "3", "7"], ["root", "25", "29", "34", "39"],
+             ["root", "13", "17", "25", "36"]] + fuzz_argvs(random.Random(20261019), 400)
+    started = time.monotonic()
+    proc = run_capped("-c", FUZZ_RUNNER, input=json.dumps(argvs))
+    assert time.monotonic() - started < 10
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs)
+    for argv, (code, out_len, err, escaped) in zip(argvs, results):
+        assert escaped is None, (argv, escaped)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err, (argv, err)
+        if code == 2 and err.startswith("usage: "):
+            last = err.splitlines()[-1]
+            assert last.startswith("floerrank") and ": error: " in last, (argv, err)
+        elif code == 2:
+            assert out_len == 0, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert {code for code, *_ in results} == {0, 1, 2}
 
 
 def test_version(capsys):

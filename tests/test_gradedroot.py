@@ -289,6 +289,18 @@ def test_explicit_tree_size_guard(monkeypatch):
     assert len(root.vertices()) == 6
 
 
+def test_ascii_drawing_size_guard(monkeypatch):
+    root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
+    size = len(root.render("ascii"))
+    monkeypatch.setattr(gradedroot, "MAX_ASCII_BYTES", size - 1)
+    with pytest.raises(ValueError, match=f"has {size} bytes"):
+        root.render("ascii")
+    # the other renders have no such bound
+    assert root.render("dot") and root.render("svg")
+    monkeypatch.setattr(gradedroot, "MAX_ASCII_BYTES", size)
+    assert len(root.render("ascii")) == size
+
+
 def test_ascii_golden_figure():
     root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
     expected = (DATA / "figure_root_ascii.txt").read_text()
