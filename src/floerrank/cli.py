@@ -10,12 +10,14 @@ Subcommands:
     scan    BOUND                hat-rank monotonicity scan
 
 Exit status: 0 on success, 1 when a verifier reports a failing verdict,
-2 on invalid input or usage.
+2 on invalid input or usage, 141 (128 + SIGPIPE) with nothing on stderr
+when the reader of stdout has gone, as in `floerrank scan 25 | head -c 10`.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 from collections import Counter
 
@@ -26,6 +28,7 @@ from .gradedroot import GradedRoot
 
 USAGE_ERROR = 2
 VERDICT_ERROR = 1
+BROKEN_PIPE = 141
 
 
 def _tuple_from(args_list):
@@ -106,13 +109,15 @@ def cmd_botany(args) -> int:
     return 0
 
 
-def _extract_verify_options(tokens):
-    """Pull --n and --move out of the raw remainder the parser handed us."""
+def _extract_verify_options(which, tokens):
+    """Pull --n and --move out of the raw remainder; refuse any other option."""
     n, moves, rest = None, [], []
     tokens = iter(tokens)
     for tok in tokens:
         option, eq, value = tok.partition("=")
         if option not in ("--n", "--move"):
+            if tok.startswith("--") and tok != "--":
+                raise ValueError(f"verify {which}: unknown option {option}")
             rest.append(tok)
             continue
         if not eq and (value := next(tokens, None)) is None:
@@ -125,7 +130,7 @@ def _extract_verify_options(tokens):
 
 
 def cmd_verify(args) -> int:
-    n, moves, tokens = _extract_verify_options(args.args)
+    n, moves, tokens = _extract_verify_options(args.which, args.args)
     for option, given, taker in (("--n", n is not None, "branched"), ("--move", moves, "degree")):
         if given and args.which != taker:
             raise ValueError(f"verify {args.which}: {option} applies only to verify {taker}")
@@ -222,7 +227,13 @@ def main(argv=None) -> int:
     handler = {"rank": cmd_rank, "root": cmd_root, "botany": cmd_botany,
                "verify": cmd_verify, "scan": cmd_scan}[args.command]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()      # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the rest of stdout goes nowhere, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

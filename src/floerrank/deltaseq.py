@@ -139,19 +139,36 @@ class DeltaSequence:
 
     def refine_many(self, splits: dict) -> "DeltaSequence":
         """Apply several refinements at once; the result sits at 0..k-1."""
-        idx = self.indices_of(list(splits))
-        pieces, prev = [], 0
-        for i, parts in sorted(zip(idx.tolist(), splits.values())):
-            parts = np.array(parts, dtype=np.int64)
-            v = int(self.values[i])
-            if np.any((parts > 0) != (v > 0)) or not parts.all():
-                raise SignMismatchError(f"parts {parts.tolist()} must share the sign of {v}")
-            if int(parts.sum()) != v:
-                raise SumMismatchError(f"parts {parts.tolist()} must sum to {v}")
-            pieces += [self.values[prev:i], parts]
-            prev = i + 1
-        values = np.concatenate(pieces + [self.values[prev:]])
-        return DeltaSequence._adopt(np.arange(values.size), values)
+        at, groups = self.indices_of(list(splits)), list(splits.values())
+        order = np.argsort(at).tolist()
+        counts = np.array([len(groups[j]) for j in order], dtype=np.int64)
+        parts = np.array([p for j in order for p in groups[j]], dtype=np.int64)
+        v, ends = self.values[at[order]], np.cumsum(counts)
+        # per value: its parts off its sign, and their sum, as prefix differences
+        off = np.concatenate(([0], np.cumsum(np.sign(parts) != np.repeat(np.sign(v), counts))))
+        sums = np.concatenate(([0], np.cumsum(parts)))
+        off, sums = off[ends] - off[ends - counts], sums[ends] - sums[ends - counts]
+        wrong = (off > 0) | (sums != v)
+        if wrong.any():
+            j = int(np.argmax(wrong))
+            group = parts[ends[j] - counts[j]:ends[j]].tolist()
+            if off[j]:
+                raise SignMismatchError(f"parts {group} must share the sign of {v[j]}")
+            raise SumMismatchError(f"parts {group} must sum to {v[j]}")
+        return self._refine(at[order], counts, parts)[0]
+
+    def _refine(self, at, counts, parts):
+        """Split the value at each index at[j] (sorted, distinct) into the next
+        counts[j] of the flat parts (counts may be one number for all),
+        unchecked.  Returns the refined sequence, at 0..k-1, and the new index
+        of each old index's first part."""
+        reps = np.ones(len(self), dtype=np.int64)
+        reps[at] = counts
+        split = np.zeros(len(self), dtype=bool)
+        split[at] = True
+        values = np.repeat(self.values, reps)
+        values[np.repeat(split, reps)] = parts
+        return DeltaSequence._adopt(np.arange(values.size), values), np.cumsum(reps) - reps
 
     def merge(self, run) -> "DeltaSequence":
         """Replace a consecutive same-sign run of positions by their sum."""

@@ -25,7 +25,7 @@ each positive-defect index, in source order).
 The three concrete families: the degree-n covering maps z -> n z + k P/p_l,
 the normal-form comparison map between componentwise-comparable tuples, and
 the pinch map driven by the order bijection of a two-generator numerical
-semigroup.
+semigroup, each placing its negative positions' images by reflection.
 """
 
 from functools import wraps
@@ -68,39 +68,24 @@ def _cached(check):
 
 
 class DeltaMorphism:
-    """A total position map between two delta sequences.
+    """A total position map between two delta sequences, held as indices.
 
-    mapping lists the image of each source position, in source order; it is
-    converted once into index, a read-only int64 array holding for each
-    source position the index of its image among the target's positions.
-    A position outside the target is refused.  The library's own
-    constructions, which build target indices directly, go through
-    _from_index instead: it checks that each index lies in the target and
-    searches nothing.  Each validator is a few array operations over index
-    and the two sequences' values.  The arrays are read-only, so a verdict
-    cannot change: the map keeps each validator's verdict and its defects,
-    and a check repeated on the same map is answered from that cache.
+    index holds, for each source position in source order, the index of its
+    image among the target's positions (target.indices_of finds them).  The
+    map keeps a range-checked, read-only int64 copy, so the caller's array is
+    neither shared nor frozen.  Each validator is a few array operations over
+    index and the two sequences' values; as the arrays are read-only, the map
+    keeps each validator's verdict and its defects, and answers a repeated
+    check from that cache.
     """
 
-    def __init__(self, source: DeltaSequence, target: DeltaSequence, mapping):
-        self._hold(source, target, target.indices_of(mapping))
-
-    @classmethod
-    def _from_index(cls, source: DeltaSequence, target: DeltaSequence,
-                    index) -> "DeltaMorphism":
-        """The library's own fresh target indices, range-checked, kept (made
-        read-only) without a copy."""
-        index = np.asarray(index, dtype=np.int64)
+    def __init__(self, source: DeltaSequence, target: DeltaSequence, index):
+        index = np.array(index, dtype=np.int64)
+        if index.shape != source.positions.shape:
+            raise ValueError(f"index has {index.size} entries for "
+                             f"{len(source)} source positions")
         if index.size and (index.min() < 0 or index.max() >= len(target)):
             raise ValueError(f"indices must lie in [0, {len(target)})")
-        m = cls.__new__(cls)
-        m._hold(source, target, index)
-        return m
-
-    def _hold(self, source: DeltaSequence, target: DeltaSequence, index: np.ndarray):
-        if index.shape != source.positions.shape:
-            raise ValueError(f"mapping has {index.size} images for "
-                             f"{len(source)} source positions")
         index.flags.writeable = False
         self.source = source
         self.target = target
@@ -158,15 +143,11 @@ class DeltaMorphism:
         return self.is_semi_immersion() and self._capacity_ok()
 
     def is_embedding(self) -> bool:
-        return (self.is_morphism()
-                and self._mixed_order_forward()
-                and self._mixed_order_backward()
-                and self._capacity_ok())
+        return self.is_immersion() and self._mixed_order_backward()
 
     def is_isomorphism(self) -> bool:
-        return (len(self.source) == len(self.target)
-                and np.array_equal(self.index, np.arange(len(self.target)))
-                and self.preserves_values())
+        # n strictly increasing indices into n positions are 0..n-1
+        return len(self.source) == len(self.target) and self.is_isomorphism_onto_image()
 
     @_cached
     def is_isomorphism_onto_image(self) -> bool:
@@ -253,23 +234,9 @@ def embed_to_subsequence(m: DeltaMorphism):
     run = np.cumsum(np.diff(source.values > 0, prepend=source.values[:1] > 0))
     perm = np.lexsort((slot, run))
     refined_source = DeltaSequence._adopt(source.positions, source.values[perm])
-    result = DeltaMorphism._from_index(refined_source, target, slot[perm])
+    result = DeltaMorphism(refined_source, target, slot[perm])
     assert result.is_isomorphism_onto_image()
     return refined_source, target, result
-
-
-def _split_in_two(seq: DeltaSequence, at, first) -> DeltaSequence:
-    """Refine the value at each index in at into (first, the rest), at 0..k-1;
-    fix_defects' control function gives both parts the value's sign."""
-    values = seq.values.copy()
-    values[at] = first
-    values = np.insert(values, at + 1, seq.values[at] - first)
-    return DeltaSequence._adopt(np.arange(values.size), values)
-
-
-def _after_split(at, i):
-    """Index of old index i once every index in at is split in two."""
-    return i + np.searchsorted(np.sort(at), i)
 
 
 def fix_defects(m: DeltaMorphism, theta):
@@ -290,12 +257,14 @@ def fix_defects(m: DeltaMorphism, theta):
     b = np.flatnonzero(m.defect_table() > 0)
     controls = np.asarray(theta, dtype=np.int64)
     g = index[controls]
-    new_source = _split_in_two(source, b, target.values[index[b]])
-    new_target = _split_in_two(target, g, source.values[controls])
-    mapping = np.empty(len(new_source), dtype=np.int64)
-    mapping[_after_split(b, np.arange(len(source)))] = _after_split(g, index)
-    mapping[_after_split(b, b) + 1] = _after_split(g, g) + 1
-    result = DeltaMorphism._from_index(new_source, new_target, mapping)
+    b1, g1, order = target.values[index[b]], source.values[controls], np.argsort(g)
+    new_source, moved = source._refine(b, 2, np.column_stack((b1, source.values[b] - b1)).ravel())
+    new_target, landed = target._refine(
+        g[order], 2, np.column_stack((g1, target.values[g] - g1))[order].ravel())
+    new_index = np.empty(len(new_source), dtype=np.int64)
+    new_index[moved] = landed[index]
+    new_index[moved[b] + 1] = landed[g] + 1
+    result = DeltaMorphism(new_source, new_target, new_index)
     assert result.is_injective() and result.is_immersion()
     return new_source, new_target, result
 
@@ -309,7 +278,9 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
 
     The cover multiplies the designated multiplicity (the largest one by
     default) by n; the k-th map is z -> n z + k (P / fiber) for k = 0..n-1.
-    The degree must be coprime to every other multiplicity.
+    The degree must be coprime to every other multiplicity.  As the cover's
+    cutoff is n N + (n - 1) P / fiber, map k sends N - x to the reflection of
+    map n - 1 - k's image of x: one search places all n maps.
     """
     if n < 1:
         raise ValueError(f"covering degree must be >= 1, got {n}")
@@ -326,8 +297,8 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     target = from_seifert(cover)
     source = from_seifert(t)
     shift = t.product // fiber
-    return [DeltaMorphism(source, target, n * source.positions + k * shift)
-            for k in range(n)]
+    images = n * source.positive_positions + shift * np.arange(n)[:, None]
+    return [DeltaMorphism(source, target, row) for row in _reflected(source, target, images)]
 
 
 # -- the normal-form comparison map ------------------------------------------
@@ -351,7 +322,7 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
     xs = source.positive_positions
     k, coords = _normal_forms(xs, t, n1)
     images = p2 * k + sum(coord * (p2 // q) for coord, q in zip(coords, qs))
-    return _reflected(source, target, images)
+    return DeltaMorphism(source, target, _reflected(source, target, [images])[0])
 
 
 def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
@@ -414,17 +385,17 @@ class TwoGenSemigroup:
 # -- rigid maps and the pinch morphism ---------------------------------------
 
 
-def _reflected(source: DeltaSequence, target: DeltaSequence, ys: np.ndarray) -> DeltaMorphism:
-    """The source's positive positions -> ys elementwise, and the reflection
-    N - x -> N' - y of each.  Both are Seifert sequences, which hold N - p at
-    index len - 1 - i where they hold p at i, so searching ys alone places
-    every image; an image outside the target is refused."""
+def _reflected(source: DeltaSequence, target: DeltaSequence, images) -> np.ndarray:
+    """Target indices of maps between Seifert sequences, one row per row of
+    the n rows of images: row k sends each positive x to images[k] and N - x
+    to N' - y, y the image of x in row n - 1 - k.  Seifert sequences hold
+    N - p at index len - 1 - i where they hold p at i: one search places all."""
     pos = np.flatnonzero(source.values > 0)
-    found = target.indices_of(ys)
-    index = np.full(len(source), -1, dtype=np.int64)   # a hole fails _from_index
-    index[pos] = found
-    index[len(source) - 1 - pos] = len(target) - 1 - found
-    return DeltaMorphism._from_index(source, target, index)
+    found = target.indices_of(images)
+    index = np.full((len(found), len(source)), -1, dtype=np.int64)  # a hole is refused
+    index[:, pos] = found
+    index[:, len(source) - 1 - pos] = len(target) - 1 - found[::-1]
+    return index
 
 
 def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
@@ -440,7 +411,7 @@ def _rigid(source: DeltaSequence, target: DeltaSequence, xs: np.ndarray,
         i = np.argmax(broken)
         raise NotRigidError(f"{xs[i]} -> {ys[i]} moves left or by more than half "
                             "the cutoff difference")
-    return _reflected(source, target, ys)
+    return DeltaMorphism(source, target, _reflected(source, target, [ys])[0])
 
 
 def pinch_semi_immersion(base, q: int, r: int):

@@ -1,17 +1,22 @@
 """The sieve construction of a Seifert delta sequence, kept as the oracle for
-deltaseq.from_seifert.
+deltaseq.from_seifert, and the per-split refinement loop, kept as the oracle
+for DeltaSequence.refine_many.
 
-It sieves the semigroup S on [0, N], takes S and its reflections N - S as the
-positions and checks that delta is positive exactly on S.  The library reads
-the same positions straight off the nonzeros of delta; the tests compare the
-two.
+sieve_from_seifert sieves the semigroup S on [0, N], takes S and its
+reflections N - S as the positions and checks that delta is positive exactly
+on S.  The library reads the same positions straight off the nonzeros of
+delta; the tests compare the two.
+
+refine_many_loop checks and splices one split at a time, in index order; the
+library checks every split and builds the refined values with a few array
+passes.
 """
 
 import numpy as np
 
 from floerrank import seifert
 from floerrank.deltaseq import DeltaSequence
-from floerrank.errors import DegenerateTupleError
+from floerrank.errors import DegenerateTupleError, SignMismatchError, SumMismatchError
 
 from semigroup_oracle import semigroup_sieve
 from walk_oracle import dense_delta
@@ -30,3 +35,19 @@ def sieve_from_seifert(t: seifert.SeifertTuple) -> DeltaSequence:
     values = deltas[positions]
     assert bool(((values > 0) == np.isin(positions, members)).all())
     return DeltaSequence(positions.tolist(), values.tolist())
+
+
+def refine_many_loop(seq: DeltaSequence, splits: dict) -> DeltaSequence:
+    idx = seq.indices_of(list(splits))
+    pieces, prev = [], 0
+    for i, parts in sorted(zip(idx.tolist(), splits.values())):
+        parts = np.array(parts, dtype=np.int64)
+        v = int(seq.values[i])
+        if np.any((parts > 0) != (v > 0)) or not parts.all():
+            raise SignMismatchError(f"parts {parts.tolist()} must share the sign of {v}")
+        if int(parts.sum()) != v:
+            raise SumMismatchError(f"parts {parts.tolist()} must sum to {v}")
+        pieces += [seq.values[prev:i], parts]
+        prev = i + 1
+    values = np.concatenate(pieces + [seq.values[prev:]])
+    return DeltaSequence(np.arange(values.size), values)

@@ -17,6 +17,11 @@ formulas.
 
 rigid_extend is the dict front end of the library's rigid extension, which
 the pinch map is built with; the tests drive that extension through it.
+
+fix_defects_oracle is the defect repair with its own two-part split: it
+inserts each second part with np.insert and moves every old index past the
+splits before it by a search; the library refines through
+DeltaSequence's refinement core, which reports where each old index landed.
 """
 
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ from math import prod
 import numpy as np
 
 from floerrank import morphism, seifert
-from floerrank.deltaseq import from_seifert
+from floerrank.deltaseq import DeltaSequence, from_seifert
 from floerrank.errors import FirstElementNegativeError, NotRigidError, NotSemiImmersionError
 
 from semigroup_oracle import two_generator
@@ -264,3 +269,33 @@ def rigid_extend(source, target, partial: dict, n_source: int, n_target: int):
         raise NotRigidError("partial map must be defined exactly on the positive positions")
     ys = np.fromiter(partial.values(), dtype=np.int64, count=len(partial))
     return morphism._rigid(source, target, xs, ys, n_source, n_target)
+
+
+def _split_in_two(seq, at, first):
+    """Refine the value at each index in at into (first, the rest), at 0..k-1."""
+    values = seq.values.copy()
+    values[at] = first
+    values = np.insert(values, at + 1, seq.values[at] - first)
+    return DeltaSequence(np.arange(values.size), values)
+
+
+def _after_split(at, i):
+    """Index of old index i once every index in at is split in two."""
+    return i + np.searchsorted(np.sort(at), i)
+
+
+def fix_defects_oracle(m, theta):
+    """(refined source, refined target, index) of the repaired map: each bad
+    point b splits into (image value, rest), the image g of its partner into
+    (partner value, rest), and the second part of b maps to the second part
+    of g."""
+    source, target, index = m.source, m.target, m.index
+    b = np.flatnonzero(m.defect_table() > 0)
+    controls = np.asarray(theta, dtype=np.int64)
+    g = index[controls]
+    new_source = _split_in_two(source, b, target.values[index[b]])
+    new_target = _split_in_two(target, g, source.values[controls])
+    new_index = np.empty(len(new_source), dtype=np.int64)
+    new_index[_after_split(b, np.arange(len(source)))] = _after_split(g, index)
+    new_index[_after_split(b, b) + 1] = _after_split(g, g) + 1
+    return new_source, new_target, new_index

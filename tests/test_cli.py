@@ -22,15 +22,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def checkout_env() -> dict:
+    """The environment of a subprocess that imports this checkout's floerrank."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
+    return env
+
+
 def run_capped(*args, cap=1500 * 2**20, **kwargs):
     """python ARGS in a subprocess that imports this checkout's floerrank,
     under an address-space cap, so that a memory blow-up fails the test
     instead of exhausting the machine."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=checkout_env(), capture_output=True, text=True, timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)), **kwargs)
 
 
@@ -350,6 +355,12 @@ def test_verify_refuses_option_it_does_not_take(capsys, argv, option):
     assert err.startswith(f"error: verify {argv[0]}: {option} applies only to verify "), err
 
 
+@pytest.mark.parametrize("option", ["--stats", "--format", "--table", "--json"])
+def test_verify_refuses_an_unknown_option(capsys, option):
+    code, out, err = run(capsys, "verify", "pinch", "2", "3", option, "--", "5", "7")
+    assert (code, out, err) == (2, "", f"error: verify pinch: unknown option {option}\n")
+
+
 @pytest.mark.parametrize("argv", [("branched", "2", "3", "7", "--", "5", "11"),
                                   ("degree", "2", "3", "7", "--", "9")])
 def test_verify_refuses_second_tuple_it_does_not_take(capsys, argv):
@@ -367,17 +378,28 @@ def test_scan_cli(capsys):
 def test_scan_refuses_a_huge_bound_at_once():
     # scan 100000 has about 1.7e14 candidate tuples; it is refused before any
     # is ranked
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
     started = time.monotonic()
     proc = subprocess.run([sys.executable, "-m", "floerrank.cli", "scan", "100000"],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=checkout_env(), capture_output=True, text=True, timeout=60)
     assert time.monotonic() - started < 1.0
     assert proc.returncode == 2 and proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: a scan to bound 100000 at length 3 has more "
                                   "than the "), proc.stderr
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    # the read end of stdout is closed before the scan writes: the status
+    # tells a closed reader (141, 128 + SIGPIPE) from a failing verdict (1)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "floerrank.cli", "scan", "25"],
+                              env=checkout_env(), stdout=write, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_scan_refuses_a_negative_length(capsys):

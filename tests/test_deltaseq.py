@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from floerrank.errors import (
 )
 
 from conftest import random_delta_values, random_tuple
-from deltaseq_oracle import sieve_from_seifert
+from deltaseq_oracle import refine_many_loop, sieve_from_seifert
 from walk_oracle import assert_matches_oracle, dense_tau
 
 
@@ -101,6 +102,8 @@ def test_refine():
         DeltaSequence([0], [2]).refine(0, [1, -1, 2])
     with pytest.raises(SumMismatchError):
         DeltaSequence([0], [2]).refine(0, [1, 2])
+    with pytest.raises(SumMismatchError, match=r"parts \[\] must sum to 2"):
+        DeltaSequence([0], [2]).refine(0, [])
 
 
 def test_merge():
@@ -302,3 +305,54 @@ def test_refine_merge_chains_keep_ranks(chain):
     assert (start.rank().rank_red, start.rank().rank_hat) == \
         (end.rank().rank_red, end.rank().rank_hat)
     assert start.canonical_values() == end.canonical_values()
+
+
+@st.composite
+def split_dicts(draw):
+    """A sequence at positions 0, 3, 6, ... and splits keyed by some of its
+    positions (and now and then by the absent 3k): mostly a split of the
+    value, valid or spoilt by a zero part, a part of the other sign or a
+    missing part, else any short list of small integers, the empty list
+    among them."""
+    values = draw(st.lists(st.integers(1, 6) | st.integers(-6, -1), min_size=1,
+                           max_size=8).map(lambda vs: [abs(vs[0])] + vs[1:]))
+    ds = DeltaSequence(3 * np.arange(len(values)), values)
+    splits = {}
+    for i in draw(st.lists(st.integers(0, len(values)), unique=True, max_size=3)):
+        if i == len(values) or draw(st.integers(0, 3)) == 0:
+            splits[3 * i] = draw(st.lists(st.integers(-4, 4), max_size=3))
+            continue
+        v = values[i]
+        cuts = draw(st.sets(st.integers(1, 5), max_size=2))
+        bounds = [0] + sorted(c for c in cuts if c < abs(v)) + [abs(v)]
+        parts = [(hi - lo) * (1 if v > 0 else -1) for lo, hi in zip(bounds, bounds[1:])]
+        spoil = draw(st.sampled_from(["none", "zero", "flip", "drop"]))
+        j = draw(st.integers(0, len(parts) - 1))
+        if spoil == "zero":
+            parts.insert(j, 0)
+        elif spoil == "flip":
+            parts[j] = -parts[j]
+        elif spoil == "drop":
+            del parts[j]
+        splits[3 * i] = parts
+    return ds, splits
+
+
+def test_refine_many_matches_the_loop():
+    outcomes = Counter()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(split_dicts())
+    def check(case):
+        ds, splits = case
+        results = []
+        for refine in (DeltaSequence.refine_many, refine_many_loop):
+            try:
+                results.append(refine(ds, splits))
+            except ValueError as exc:
+                results.append((type(exc), str(exc)))
+        assert results[0] == results[1], (ds, splits, results)
+        outcomes[results[0][0] if isinstance(results[0], tuple) else "refined"] += 1
+
+    check()
+    assert set(outcomes) == {"refined", ValueError, SignMismatchError, SumMismatchError}, outcomes

@@ -34,7 +34,7 @@ from semigroup_oracle import membership, two_generator
 
 
 def identity_morphism(ds):
-    return DeltaMorphism(ds, ds, ds.positions)
+    return DeltaMorphism(ds, ds, np.arange(len(ds)))
 
 
 def test_identity_is_everything():
@@ -45,30 +45,23 @@ def test_identity_is_everything():
     assert m.is_right_veering()
 
 
-def test_mapping_is_a_position_sequence_stored_as_target_indices():
-    src = from_values([1, -1])
-    tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
-    m = DeltaMorphism(src, tgt, [9, 12])
-    assert m.index.tolist() == [1, 2] and m.mapping.tolist() == [9, 12]
-    assert m.image(1) == 12 and not m.index.flags.writeable
-    with pytest.raises(ValueError, match="not positions"):
-        DeltaMorphism(src, tgt, [9, 10])
-    with pytest.raises(ValueError, match="3 images for 2 source positions"):
-        DeltaMorphism(src, tgt, [4, 9, 12])
-
-
-def test_from_index_keeps_checked_indices():
+def test_index_is_range_checked_and_kept_as_a_read_only_copy():
     src = from_values([1, -1])
     tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
     index = np.array([1, 2])
-    m = DeltaMorphism._from_index(src, tgt, index)
-    assert m.index is index and not index.flags.writeable
-    assert m.mapping.tolist() == [9, 12] and m.is_immersion()
+    m = DeltaMorphism(src, tgt, index)
+    assert m.index.tolist() == [1, 2] and m.mapping.tolist() == [9, 12]
+    assert m.image(1) == 12 and m.is_immersion()
+    # the map's copy is read-only; the caller's array is neither shared nor frozen
+    assert not m.index.flags.writeable and index.flags.writeable
+    index[0] = 0
+    assert m.index.tolist() == [1, 2]
+    assert DeltaMorphism(src, tgt, tgt.indices_of([9, 12])).index.tolist() == [1, 2]
     for bad in ([1, 3], [-1, 2]):
         with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
-            DeltaMorphism._from_index(src, tgt, np.array(bad))
-    with pytest.raises(ValueError, match="3 images for 2 source positions"):
-        DeltaMorphism._from_index(src, tgt, np.array([0, 1, 2]))
+            DeltaMorphism(src, tgt, bad)
+    with pytest.raises(ValueError, match="3 entries for 2 source positions"):
+        DeltaMorphism(src, tgt, [0, 1, 2])
 
 
 def test_constant_map_not_morphism():
@@ -275,18 +268,18 @@ def random_embedding(rng):
             runs[-1].append(p)
         else:
             runs.append([p])
-    tgt_values, mapping = [], []
+    tgt_values, index = [], []
     for run in runs:
         sign = 1 if src.value_at(run[0]) > 0 else -1
         total = sum(abs(src.value_at(p)) for p in run)
         raw = [rng.randrange(len(run)) for _ in run]
         used = sorted(set(raw))
         base = len(tgt_values)
-        mapping += [base + used.index(f) for f in raw]
+        index += [base + used.index(f) for f in raw]
         tgt_values.extend(sign * (total + rng.randint(0, 2)) for _ in used)
         if rng.random() < 0.4:
             tgt_values.append(sign * rng.randint(1, 3))  # decoy outside image
-    return DeltaMorphism(src, from_values(tgt_values), mapping)
+    return DeltaMorphism(src, from_values(tgt_values), index)
 
 
 def test_embed_to_subsequence_random_round_trip(rng):
@@ -338,6 +331,22 @@ def test_branched_cover_examples():
     assert len(single) == 1 and single[0].is_isomorphism()
     with pytest.raises(NotCoprimeError):
         branched_cover_embeddings(seifert.make_tuple([2, 3, 7]), 6)
+
+
+def test_branched_covers_make_one_search(monkeypatch):
+    # all n maps' positive images are searched at once, whatever n is
+    calls = []
+    original = DeltaSequence.indices_of
+
+    def counting(self, positions):
+        calls.append(np.shape(positions))
+        return original(self, positions)
+
+    monkeypatch.setattr(DeltaSequence, "indices_of", counting)
+    for n in (1, 5, 7, 11, 13):
+        calls.clear()
+        maps = branched_cover_embeddings(seifert.make_tuple([2, 3, 13]), n)
+        assert len(maps) == n and calls == [(n, 2)], (n, calls)
 
 
 def test_branched_cover_disjoint_images(rng):

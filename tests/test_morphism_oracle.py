@@ -7,15 +7,17 @@ random abstract delta sequences.  The pinch construction is compared with
 the oracle's scalar one on criterion 5's pinches, a seeded corpus and the
 pinches the degree-map verifier builds.  A map keeps its verdicts: on the
 same families and corpus, each cached verdict is compared with a fresh
-map's, and the maps the repairs and the reflected witnesses build from
-target indices with the ones the public constructor builds from positions.
+map's.  The indices the repairs and the three witness families build are
+compared with a search of their image positions among the target's, and
+the pinch repair with the two-part split it replaced.
 """
 
+import math
 import random
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from floerrank import morphism, seifert, verify
 from floerrank.arith import pairwise_coprime
@@ -97,9 +99,11 @@ def test_criterion_05_families_match_oracle():
                     == list(oracle.defect_table().defects.values()))
             assert morphism.is_control_function(m, theta)
             assert morphism_oracle.is_control_function(oracle, theta_dict(m, theta))
-            fixed = morphism.fix_defects(m, theta)[2]
+            s2, t2, fixed = morphism.fix_defects(m, theta)
             assert_same(fixed, morphism_oracle.from_morphism(fixed),
                         "is_injective", "is_immersion")
+            want = morphism_oracle.fix_defects_oracle(m, theta)
+            assert (s2, t2) == want[:2] and np.array_equal(fixed.index, want[2])
         checked.add(kind)
     assert checked == {"branched", "comparison", "pinch"}
 
@@ -273,7 +277,7 @@ def test_perturbed_corpus_matches_oracle():
                 index = perturb(m, rng)
                 if index is None:
                     continue
-                mutant = DeltaMorphism(m.source, m.target, m.target.positions[index])
+                mutant = DeltaMorphism(m.source, m.target, index)
                 assert_agrees(mutant)
                 broke[kind] += verdicts(mutant) != before
     assert all(broke.values()), broke
@@ -282,7 +286,7 @@ def test_perturbed_corpus_matches_oracle():
 def test_moved_image_breaks_only_backward_order():
     m = morphism.branched_cover_embeddings(seifert.make_tuple([2, 3, 13]), 5)[0]
     index = _across_sign(m, random.Random(1))
-    mutant = DeltaMorphism(m.source, m.target, m.target.positions[index])
+    mutant = DeltaMorphism(m.source, m.target, index)
     oracle = morphism_oracle.from_morphism(mutant)
     assert oracle.is_immersion() and not oracle.is_embedding()
     assert mutant.is_immersion() and not mutant.is_embedding()
@@ -292,7 +296,8 @@ def test_moved_image_breaks_only_backward_order():
 
 
 def _fresh(m):
-    return DeltaMorphism(m.source, m.target, m.mapping)
+    """The same map, its index searched afresh from its image positions."""
+    return DeltaMorphism(m.source, m.target, m.target.indices_of(m.mapping))
 
 
 def _non_control(m, theta):
@@ -334,7 +339,7 @@ def test_cached_verdicts_match_a_fresh_map():
             index = perturb(m, rng)
             if index is not None:
                 assert_cached_verdicts_match_fresh(
-                    DeltaMorphism(m.source, m.target, m.target.positions[index]))
+                    DeltaMorphism(m.source, m.target, index))
 
 
 def test_repairs_from_indices_match_the_public_constructor():
@@ -352,10 +357,39 @@ def test_repairs_from_indices_match_the_public_constructor():
     assert repaired > 400
 
 
+@st.composite
+def cover_cases(draw):
+    """A 3- or 4-fiber tuple with entries at most 30 and cutoff at most
+    20,000, one of its fibers and a degree n <= 7 coprime to the others."""
+    entries = []
+    for _ in range(draw(st.integers(3, 4))):
+        entries.append(draw(st.sampled_from(
+            [p for p in range(2, 31) if all(math.gcd(p, q) == 1 for q in entries)])))
+    t = seifert.make_tuple(entries)
+    assume(not t.is_degenerate and seifert.n_cutoff(t) <= 20_000)
+    fiber = draw(st.sampled_from(t.multiplicities))
+    n = draw(st.sampled_from([n for n in range(1, 8) if all(
+        math.gcd(n, p) == 1 for p in t.multiplicities if p != fiber)]))
+    return t, n, fiber
+
+
+def assert_covers_match_the_search(t, n, fiber):
+    maps = morphism.branched_cover_embeddings(t, n, fiber)
+    shift = t.product // fiber
+    for k, m in enumerate(maps):
+        want = m.target.indices_of(n * m.source.positions + k * shift)
+        assert np.array_equal(m.index, want), (t, n, fiber, k)
+        assert m.is_embedding() and m.preserves_values(), (t, n, fiber, k)
+        assert not m.index.flags.writeable
+    # the n image sets are disjoint: no target index is hit twice
+    assert np.bincount(np.concatenate([m.index for m in maps])).max() == 1, (t, n, fiber)
+
+
 def test_reflected_maps_match_the_public_constructor():
-    # the comparison and pinch witnesses search only the positive positions'
-    # images and place each reflection N - x -> N' - y by index; the public
-    # constructor searches every image
+    # the three witness families search only the positive positions' images
+    # and place each reflection N - x -> N' - y by index (a branched cover's
+    # map k from map n - 1 - k's images); a search of every image position
+    # gives the same indices
     rng = random.Random(12)
     cases = [(t, t2, morphism.partial_order_immersion(t, t2))
              for t, t2 in _random_comparable_pairs(rng, 60)]
@@ -370,10 +404,25 @@ def test_reflected_maps_match_the_public_constructor():
         for x, y in zip(m.source.positions[positive].tolist(), m.mapping[positive].tolist()):
             image[x], image[n_source - x] = y, n_target - y
         assert sorted(image) == m.source.positions.tolist(), (t, t2)
-        public = DeltaMorphism(m.source, m.target, [image[x] for x in sorted(image)])
-        assert np.array_equal(m.index, public.index), (t, t2)
+        want = m.target.indices_of([image[x] for x in sorted(image)])
+        assert np.array_equal(m.index, want), (t, t2)
         assert not m.index.flags.writeable
     assert {len(t.multiplicities) for t, _, _ in cases} == {3, 4, 5}
+
+    # criterion 5's branched covers, then drawn tuples, fibers and degrees
+    for t, n in _random_branched_cases(random.Random(50), 200):
+        assert_covers_match_the_search(t, n, t.multiplicities[-1])
+    drawn = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cover_cases())
+    def covers(case):
+        assert_covers_match_the_search(*case)
+        t, n, fiber = case
+        drawn[len(t.multiplicities), fiber == t.multiplicities[-1], n > 1] += 1
+
+    covers()
+    assert {(3, False, True), (4, False, True), (3, True, True), (4, True, True)} <= set(drawn)
 
 
 # -- random maps between random sequences -----------------------------------
@@ -396,7 +445,7 @@ def random_maps(draw):
             index.append(len(values))
             values.append(draw(st.integers(1, 4)) * (1 if v > 0 else -1))
         tgt = from_values(values)
-        return DeltaMorphism(src, tgt, tgt.positions[index])
+        return DeltaMorphism(src, tgt, index)
     roomy = draw(st.sampled_from([1, 8]))    # 8: fibers rarely overload
     tgt = from_values([roomy * v for v in draw(values_lists.filter(bool))])
     index = np.array(draw(st.lists(st.integers(0, len(tgt) - 1),
@@ -410,7 +459,7 @@ def random_maps(draw):
     if draw(st.booleans()):
         for sign in (src.values > 0, src.values < 0):
             index[sign] = np.sort(index[sign])
-    return DeltaMorphism(src, tgt, tgt.positions[index])
+    return DeltaMorphism(src, tgt, index)
 
 
 def test_random_maps_match_oracle():
