@@ -45,18 +45,28 @@ def test_identity_is_everything():
     assert m.is_right_veering()
 
 
-def test_index_is_range_checked_and_kept_as_a_read_only_copy():
+def test_mapping_is_a_position_sequence_stored_as_target_indices():
+    src = from_values([1, -1])
+    tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
+    m = DeltaMorphism(src, tgt, tgt.indices_of([9, 12]))
+    assert m.index.tolist() == [1, 2] and m.mapping.tolist() == [9, 12]
+    assert m.image(1) == 12 and not m.index.flags.writeable
+    with pytest.raises(ValueError, match="not positions"):
+        tgt.indices_of([9, 10])
+    with pytest.raises(ValueError, match="3 entries for 2 source positions"):
+        DeltaMorphism(src, tgt, tgt.indices_of([4, 9, 12]))
+
+
+def test_from_index_keeps_checked_indices():
     src = from_values([1, -1])
     tgt = DeltaSequence([4, 9, 12], [1, 1, -1])
     index = np.array([1, 2])
     m = DeltaMorphism(src, tgt, index)
-    assert m.index.tolist() == [1, 2] and m.mapping.tolist() == [9, 12]
-    assert m.image(1) == 12 and m.is_immersion()
+    assert m.mapping.tolist() == [9, 12] and m.is_immersion()
     # the map's copy is read-only; the caller's array is neither shared nor frozen
     assert not m.index.flags.writeable and index.flags.writeable
     index[0] = 0
     assert m.index.tolist() == [1, 2]
-    assert DeltaMorphism(src, tgt, tgt.indices_of([9, 12])).index.tolist() == [1, 2]
     for bad in ([1, 3], [-1, 2]):
         with pytest.raises(ValueError, match=r"indices must lie in \[0, 3\)"):
             DeltaMorphism(src, tgt, bad)
