@@ -29,7 +29,9 @@ partial order ((5,8,11) <= (5,9,11) has hat ranks 35 > 31), so a hat-rank
 bound would cut branches that still hold rows.
 
 Every rank goes through _Scan.rank, which walks each tuple once with the
-walk_statistics kernel and keeps its rank for the rest of the scan.
+walk_statistics kernel and keeps its rank for the rest of the scan.  scan
+runs one and returns its rows with its own counts of walks, rows and cuts,
+which botany --stats writes; solve and table keep the rows.
 """
 
 import json
@@ -123,16 +125,17 @@ class _Scan:
     monotone, so it bounds nothing.
 
     ranks holds every reduced rank the scan has read, so each tuple is walked
-    once.  counts is keyed by (fiber count, name): rank_evals (kernel walks),
-    rows (tuples of rank 1..n_max found), order (walks stopped by cut (a)),
-    prime_floor (loops stopped by cut (b)) and cover (rows refused as
-    prefixes by cut (c)).
+    once.  counts, the scan's own Counter, is keyed by (fiber count, name):
+    rank_evals (kernel walks), rows (tuples of rank 1..n_max found), order
+    (walks stopped by cut (a)), prime_floor (loops stopped by cut (b)) and
+    cover (rows refused as prefixes by cut (c)); scan returns it with the
+    rows, and botany --stats writes it (stats_json).
     """
 
-    def __init__(self, n_max: int, counts: Counter):
+    def __init__(self, n_max: int):
         self.n_max = n_max
-        self.p_max = bounds(n_max)[1]
-        self.counts = counts
+        self.p_max = bounds(n_max)[1] if n_max else 0     # n_max 0: nothing to scan
+        self.counts = Counter()
         self.ranks = {}
 
     def rank(self, t: tuple) -> int:
@@ -206,29 +209,30 @@ class _Scan:
         return found
 
 
-def solve(n: int, counts: Counter = None) -> BotanyResult:
-    """Every Seifert homology sphere with reduced rank exactly n.
-
-    counts, when given, receives the scan's counts (see stats_json).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return table(n, counts)[n]
-
-
-def table(n_max: int, counts: Counter = None) -> dict:
-    """Rows 0..n_max from one pruned scan; counts as in solve."""
+def scan(n_max: int) -> tuple:
+    """(rows 0..n_max, counts) from one pruned scan: counts is the finished
+    scan's own Counter (see stats_json); row 0, S^3 and (2,3,5), takes no scan."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise ValueError(f"n must be >= 0, got {n_max}")
+    finished = _Scan(n_max)
     buckets = {n: [] for n in range(1, n_max + 1)}
-    if n_max:
-        for t, r in _Scan(n_max, Counter() if counts is None else counts).run().items():
-            if r >= 1:
-                buckets[r].append(t)
+    for t, r in finished.run().items():
+        if r >= 1:
+            buckets[r].append(t)
     rows = {0: BotanyResult(n=0, tuples=((2, 3, 5),), includes_s3=True)}
     for n, tuples in buckets.items():
         rows[n] = BotanyResult(n=n, tuples=tuple(sorted(tuples)), includes_s3=False)
-    return rows
+    return rows, finished.counts
+
+
+def solve(n: int) -> BotanyResult:
+    """Every Seifert homology sphere with reduced rank exactly n."""
+    return scan(n)[0][n]
+
+
+def table(n_max: int) -> dict:
+    """Rows 0..n_max from one pruned scan."""
+    return scan(n_max)[0]
 
 
 def stats_json(counts: Counter) -> str:

@@ -2,11 +2,15 @@
 
 Subcommands:
     rank    P1 P2 ...            rank invariants of one tuple (--stats:
-                                 walk counts as JSON on stderr)
+                                 the walk's plan, seifert.walk_counts, as
+                                 JSON on stderr)
     root    P1 P2 ... | --tau    render the graded root (ascii/dot/svg)
     botany  N | --table NMAX     tuples of a given reduced rank (--stats:
-                                 scan counts as JSON on stderr)
-    verify  branched|pinch|monotone|degree ...   inequality verifiers
+                                 the finished scan's counts as JSON on stderr)
+    verify  branched|pinch|monotone|degree ...   inequality verifiers; a
+                                 token that is not an integer is refused
+                                 with the verifier, the option or tuple
+                                 and the token named
     scan    BOUND                hat-rank monotonicity scan
 
 Exit status: 0 on success, 1 when a verifier reports a failing verdict,
@@ -19,7 +23,6 @@ import functools
 import json
 import os
 import sys
-from collections import Counter
 
 from . import __version__, botany, seifert, verify
 from .deltaseq import from_seifert
@@ -31,8 +34,15 @@ VERDICT_ERROR = 1
 BROKEN_PIPE = 141
 
 
-def _tuple_from(args_list):
-    return seifert.make_tuple([int(a) for a in args_list])
+def _integers(tokens, what: str) -> list:
+    """The tokens as ints; a token int() refuses is named, with what it was."""
+    out = []
+    for token in tokens:
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise ValueError(f"{what} must be an integer, not {token!r}") from None
+    return out
 
 
 def _split_on_dashes(tokens):
@@ -42,15 +52,9 @@ def _split_on_dashes(tokens):
     return tokens, []
 
 
-# the walk's counts rank --stats writes, in this order (see walk_statistics)
-WALK_COUNTS = ("delta_entries", "chunks", "fibers_tabulated", "fibers_divided",
-               "table_entries")
-
-
 def cmd_rank(args) -> int:
-    t = _tuple_from(args.multiplicities)
-    counts = Counter() if args.stats else None
-    stats = seifert.walk_statistics(t, counts)
+    t = seifert.make_tuple(args.multiplicities)
+    stats = seifert.walk_statistics(t)
     n_cut = seifert.n_cutoff(t) if t.fiber_count >= 1 else None
     record = {
         "tuple": list(t.multiplicities),
@@ -70,8 +74,8 @@ def cmd_rank(args) -> int:
         print(f"tuple      {t}")
         for key in ("rank_red", "rank_hat", "n_cutoff", "kappa", "min_tau", "c"):
             print(f"{key:<10} {record[key]}")
-    if counts is not None:
-        print(json.dumps({key: counts[key] for key in WALK_COUNTS}), file=sys.stderr)
+    if args.stats:
+        print(json.dumps(seifert.walk_counts(t)), file=sys.stderr)
     return 0
 
 
@@ -82,7 +86,7 @@ def cmd_root(args) -> int:
     if args.tau is not None:
         root = GradedRoot.from_tau(args.tau)
     else:
-        t = _tuple_from(args.multiplicities)
+        t = seifert.make_tuple(args.multiplicities)
         if t.is_degenerate:
             raise DegenerateTupleError(f"{t} has a trivial root; pass --tau instead")
         root = GradedRoot.from_delta_sequence(from_seifert(t))
@@ -95,16 +99,14 @@ def cmd_botany(args) -> int:
         raise ValueError(f"botany: give the rank {args.n} or --table {args.table}, not both")
     if args.table is None and args.n is None:
         raise ValueError("botany: give a rank or --table NMAX")
-    counts = Counter() if args.stats else None
-    if args.table is not None:
-        rows = botany.table(args.table, counts)
-    else:
-        rows = {args.n: botany.solve(args.n, counts)}
+    rows, counts = botany.scan(args.n if args.table is None else args.table)
+    if args.table is None:
+        rows = {args.n: rows[args.n]}
     if args.json:
         sys.stdout.write(botany.table_json(rows))
     else:
         sys.stdout.write(botany.table_csv(rows))
-    if counts is not None:
+    if args.stats:
         print(botany.stats_json(counts), file=sys.stderr)
     return 0
 
@@ -123,7 +125,7 @@ def _extract_verify_options(which, tokens):
         if not eq and (value := next(tokens, None)) is None:
             raise ValueError(f"verify: {option} needs a value")
         if option == "--n":
-            n = int(value)
+            n, = _integers([value], f"verify {which}: --n")
         else:
             moves.append(value)
     return n, moves, rest
@@ -137,27 +139,28 @@ def cmd_verify(args) -> int:
     head, tail = _split_on_dashes(tokens)
     if tail and args.which in ("branched", "degree"):
         raise ValueError(f"verify {args.which}: takes one tuple, not a second after --")
+    head, tail = (_integers(part, f"verify {args.which}: a tuple entry") for part in (head, tail))
     if args.which == "branched":
-        t = _tuple_from(head)
-        report = verify.verify_branched(t, 1 if n is None else n)
+        report = verify.verify_branched(seifert.make_tuple(head), 1 if n is None else n)
     elif args.which == "pinch":
         if len(tail) != 2:
             raise ValueError("verify pinch: usage P1 P2 ... -- Q R")
-        report = verify.verify_pinch([int(a) for a in head], int(tail[0]), int(tail[1]))
+        report = verify.verify_pinch(head, *tail)
     elif args.which == "monotone":
         if not tail:
             raise ValueError("verify monotone: usage P1 ... -- Q1 ...")
-        report = verify.verify_monotone(_tuple_from(head), _tuple_from(tail))
+        report = verify.verify_monotone(seifert.make_tuple(head), seifert.make_tuple(tail))
     else:   # degree; the parser admits no other verifier
-        t = _tuple_from(head)
-        report = verify.verify_degree_map(t, [_parse_move(text) for text in moves])
+        report = verify.verify_degree_map(seifert.make_tuple(head),
+                                          [_parse_move(text) for text in moves])
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.verdict == "holds" else VERDICT_ERROR
 
 
 def _parse_move(text: str) -> verify.DegreeMove:
     kind, _, rest = text.partition(":")
-    params = [int(x) for x in rest.split(",") if x]
+    params = _integers([x for x in rest.split(",") if x],
+                       f"verify degree: an entry of --move {text}")
     if kind == "pinch" and len(params) == 2:
         return verify.DegreeMove(kind="pinch", fibers=tuple(params))
     if kind == "fiber" and len(params) == 2:

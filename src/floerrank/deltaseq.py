@@ -58,16 +58,20 @@ class DeltaSequence:
 
     @classmethod
     def _adopt(cls, positions, values) -> "DeltaSequence":
-        """The library's own fresh arrays, kept (made read-only), not copied."""
-        seq = cls.__new__(cls)
-        seq._hold(np.asarray(positions, dtype=np.int64), np.asarray(values, dtype=np.int64))
+        """The library's own fresh arrays, kept (made read-only), not copied;
+        positions None stands for 0..k-1, whose order needs no check."""
+        seq, values = cls.__new__(cls), np.asarray(values, dtype=np.int64)
+        if positions is None:
+            seq._hold(np.arange(values.size, dtype=np.int64), values, ordered=True)
+        else:
+            seq._hold(np.asarray(positions, dtype=np.int64), values)
         return seq
 
-    def _hold(self, positions: np.ndarray, values: np.ndarray):
+    def _hold(self, positions: np.ndarray, values: np.ndarray, ordered=False):
         positions.flags.writeable = values.flags.writeable = False
         if positions.ndim != 1 or positions.shape != values.shape:
             raise ValueError("positions and values must be 1-d of equal length")
-        if np.any(positions[1:] <= positions[:-1]):
+        if not ordered and np.any(positions[1:] <= positions[:-1]):
             raise ValueError("positions must be strictly increasing")
         if not values.all():
             raise ValueError("values must be nonzero")
@@ -168,7 +172,7 @@ class DeltaSequence:
         split[at] = True
         values = np.repeat(self.values, reps)
         values[np.repeat(split, reps)] = parts
-        return DeltaSequence._adopt(np.arange(values.size), values), np.cumsum(reps) - reps
+        return DeltaSequence._adopt(None, values), np.cumsum(reps) - reps
 
     def merge(self, run) -> "DeltaSequence":
         """Replace a consecutive same-sign run of positions by their sum."""

@@ -229,7 +229,7 @@ def embed_to_subsequence(m: DeltaMorphism):
     values = np.empty(index.size + np.count_nonzero(has_rem), dtype=np.int64)
     values[slot] = source.values
     values[(np.cumsum(counts) + before)[has_rem]] = remainder[has_rem]
-    target = DeltaSequence._adopt(np.arange(values.size), values)
+    target = DeltaSequence._adopt(None, values)
 
     run = np.cumsum(np.diff(source.values > 0, prepend=source.values[:1] > 0))
     perm = np.lexsort((slot, run))
@@ -327,10 +327,11 @@ def partial_order_immersion(t: seifert.SeifertTuple, t2: seifert.SeifertTuple) -
 
 def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
     """k and the coordinates x_i of each member x = P (k + sum x_i/p_i) in xs,
-    members of t at most n, by one array pass per fiber of t."""
+    members of t at most n, by one array pass per fiber of t.  x_i is x
+    times the inverse of P/p_i mod p_i, which is -p_i' mod p_i."""
     full, ps = t.product, t.multiplicities
     check_int64((n + 1) * full)
-    coords = [xs * mod_inverse(full // p % p, p) % p for p in ps]
+    coords = [xs * (-pp % p) % p for pp, p in seifert.normalized_invariants(t).pairs]
     k, rem = np.divmod(xs - sum(c * (full // p) for c, p in zip(coords, ps)), full)
     assert not rem.any()
     return k, coords

@@ -34,11 +34,12 @@ group once over [0, Q + _CHUNK) only when the walk revisits its period
 (Q + _CHUNK < the walk's length); a chunk then reads one slice per table.
 The other fibers are divided out on every chunk by the formula the tables
 are built with, so a walk of one chunk does the work it always did.
+_plan makes that decision, and walk_counts reports it (rank --stats).
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,11 @@ class SeifertTuple:
 
     The empty tuple and single-entry tuples denote S^3.  Construct through
     make_tuple, which drops entries equal to 1 and sorts.
+
+    Construction also solves the product P, the normalized invariants and
+    the cutoff N, and the first walk checks delta's int64 range over [0, N];
+    each is kept in the instance's __dict__, outside the one field, so
+    equality and hashing see only the multiplicities.
     """
 
     multiplicities: tuple
@@ -64,15 +70,17 @@ class SeifertTuple:
             raise ValueError(f"multiplicities must be sorted ascending, got {ms}")
         if not pairwise_coprime(ms):
             raise NotCoprimeError(f"multiplicities must be pairwise coprime, got {ms}")
-        checked_product(ms)
+        P = checked_product(ms)
+        primes = [(-mod_inverse(P // p % p, p)) % p for p in ms]
+        e0, rem = divmod(-1 - sum(pp * (P // p) for pp, p in zip(primes, ms)), P)
+        assert rem == 0
+        # N is range-checked where it is read (n_cutoff), so it raises there
+        self.__dict__.update(product=P, _cutoff=(len(ms) - 2) * P - sum(P // p for p in ms),
+                             _invariants=NormalizedInvariants(e0, tuple(zip(primes, ms))))
 
     @property
     def fiber_count(self) -> int:
         return len(self.multiplicities)
-
-    @property
-    def product(self) -> int:
-        return checked_product(self.multiplicities)
 
     @property
     def is_degenerate(self) -> bool:
@@ -83,6 +91,13 @@ class SeifertTuple:
         if not self.multiplicities:
             return "S3"
         return "(" + ",".join(str(m) for m in self.multiplicities) + ")"
+
+    @cached_property
+    def _half(self) -> int:
+        """(N + 1) // 2, the walk's length, once delta's guard over [0, N] passes."""
+        N = n_cutoff(self)
+        _check_delta_range(self, N)
+        return (N + 1) // 2
 
 
 def make_tuple(raw) -> SeifertTuple:
@@ -108,19 +123,9 @@ def _require_fibers(t: SeifertTuple):
 
 
 def normalized_invariants(t: SeifertTuple) -> NormalizedInvariants:
-    """Normalized invariants of the tuple; the defining relation is verified."""
+    """Normalized invariants of the tuple (e0 P + sum p_i' P/p_i = -1)."""
     _require_fibers(t)
-    ms = t.multiplicities
-    P = t.product
-    primes = []
-    for p in ms:
-        g = (P // p) % p
-        primes.append((-mod_inverse(g, p)) % p)
-    weighted = sum(pp * (P // p) for pp, p in zip(primes, ms))
-    e0, rem = divmod(-1 - weighted, P)
-    assert rem == 0
-    assert e0 * P + weighted == -1
-    return NormalizedInvariants(e0=e0, pairs=tuple(zip(primes, ms)))
+    return t._invariants
 
 
 def euler_number(t: SeifertTuple) -> Fraction:
@@ -134,13 +139,12 @@ def euler_number(t: SeifertTuple) -> Fraction:
 def n_cutoff(t: SeifertTuple) -> int:
     """Cutoff N = P*((l-2) - sum 1/p_i), past which delta is nonnegative."""
     _require_fibers(t)
-    P = t.product
-    return check_int64((t.fiber_count - 2) * P - sum(P // p for p in t.multiplicities))
+    return check_int64(t._cutoff)
 
 
-def _check_delta_range(t: SeifertTuple, inv: NormalizedInvariants, upto: int):
+def _check_delta_range(t: SeifertTuple, upto: int):
     # guard numpy intermediates: n * p_i' stays well inside int64 for n <= upto
-    check_int64(4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)))
+    check_int64(4 * (upto + 1) * max(abs(t._invariants.e0), t.multiplicities[-1]))
 
 
 # delta values a walk evaluates at a time; a few int64 arrays of this
@@ -160,21 +164,30 @@ def _subtract_ceilings(acc: np.ndarray, n: np.ndarray, pairs, term: np.ndarray):
         acc -= term
 
 
-def _fiber_groups(pairs) -> list:
-    """(period, pairs) per group: the (p', p) pairs, in ascending p, cut
-    greedily into groups whose period (product of p) stays at most
-    _PERIOD; a fiber above _PERIOD is a group alone."""
-    groups = []
+def _plan(pairs, stop: int) -> tuple:
+    """(tabulated, divided) for delta over [0, stop), the one table-or-divide
+    decision: the (p', p) pairs, in ascending p, are cut greedily into
+    groups whose period (product of p) stays at most _PERIOD (a fiber above
+    it is a group alone); a (period, pairs) group the walk revisits (period
+    + _CHUNK < stop) is tabulated, and the other pairs are divided out."""
+    if stop <= _CHUNK + 2:      # the walk revisits no period, as each is >= 2
+        return [], pairs
+    groups, tabulated, divided = [], [], []
     for pp, p in pairs:
         if groups and groups[-1][0] * p <= _PERIOD:
             period, group = groups[-1]
             groups[-1] = (period * p, group + [(pp, p)])
         else:
             groups.append((p, [(pp, p)]))
-    return groups
+    for period, group in groups:
+        if period <= _PERIOD and period + _CHUNK < stop:
+            tabulated.append((period, group))
+        else:
+            divided.extend(group)
+    return tabulated, divided
 
 
-def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None, counts=None):
+def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
     """Yield delta(n) for 0 <= n < stop in consecutive int64 chunks of at
     most _CHUNK values; the caller guards the range.
 
@@ -182,30 +195,18 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None, counts=None):
     one buffer reused from chunk to chunk, so only the last chunk yielded
     is valid.  A fiber group G of period Q = prod p_i has
     F_G(n + Q) = F_G(n) + A_G, with F_G(n) the sum of its ceil(n p_i'/p_i)
-    and A_G = sum (Q/p_i) p_i'.  When the walk revisits that period
-    (Q + _CHUNK < stop), -F_G is tabulated once over [0, Q + _CHUNK), and a
-    chunk at s reads the slice at s mod Q, less (s // Q) A_G.  Every other
-    fiber is divided out on each chunk, by the formula the tables are
-    built with.  counts, when given, receives the walk's counts (see
-    walk_statistics).
+    and A_G = sum (Q/p_i) p_i'.  For each group _plan tabulates, -F_G is
+    tabulated once over [0, Q + _CHUNK), and a chunk at s reads the slice at
+    s mod Q, less (s // Q) A_G.  Every other fiber is divided out on each
+    chunk, by the formula the tables are built with.
     """
-    tables, divided = [], list(inv.pairs)
-    if stop > _CHUNK + 2:       # else the walk revisits no period, as each is >= 2
-        divided = []
-        for period, group in _fiber_groups(inv.pairs):
-            if period <= _PERIOD and period + _CHUNK < stop:
-                span = np.arange(period + _CHUNK, dtype=np.int64)
-                table = np.zeros_like(span)
-                _subtract_ceilings(table, span, group, np.empty_like(span))
-                tables.append((period, sum(period // p * pp for pp, p in group), table))
-            else:
-                divided.extend(group)
-    if counts is not None:
-        counts["delta_entries"] += stop
-        counts["chunks"] += -(-stop // _CHUNK)
-        counts["fibers_tabulated"] += len(inv.pairs) - len(divided)
-        counts["fibers_divided"] += len(divided)
-        counts["table_entries"] += sum(table.size for _, _, table in tables)
+    tabulated, divided = _plan(inv.pairs, stop)
+    tables = []
+    for period, group in tabulated:
+        span = np.arange(period + _CHUNK, dtype=np.int64)
+        table = np.zeros_like(span)
+        _subtract_ceilings(table, span, group, np.empty_like(span))
+        tables.append((period, sum(period // p * pp for pp, p in group), table))
     e = abs(inv.e0)
     n = np.arange(min(_CHUNK, stop), dtype=np.int64)    # the chunk's n, advanced in place
     term = np.empty_like(n)
@@ -235,7 +236,7 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None, counts=None):
 def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
     """delta(n) = 1 + |e0| n - sum ceil(n p_i'/p_i) for n = 0..upto, as int64."""
     inv = normalized_invariants(t)
-    _check_delta_range(t, inv, upto)
+    _check_delta_range(t, upto)
     out = np.empty(upto + 1, dtype=np.int64)
     for _ in _delta_chunks(inv, upto + 1, out):
         pass
@@ -264,7 +265,7 @@ class WalkStatistics:
         return 2 * self.c + 1
 
 
-def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
+def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     """Rank data of the tau walk over [0, N]; degenerate tuples give rank 0/1.
 
     Only the half n < N/2 is walked.  delta(N - n) = -delta(n) gives
@@ -285,23 +286,17 @@ def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
     int64 buffer held for the walk would sit beside that index array and
     raise the walk's peak.  A fiber group whose period the half
     walks past more than once is read from a table of its period (see
-    _delta_chunks) instead of being divided out on every chunk; a walk of
-    one chunk builds no table.
-
-    counts, when given, receives delta_entries (the half's length),
-    chunks, fibers_tabulated, fibers_divided and table_entries.
+    _plan) instead of being divided out on every chunk; a walk of
+    one chunk builds no table.  walk_counts(t) reports the walk's plan.
     """
     if t.is_degenerate:
         return WalkStatistics(kappa=0, min_tau=0, c=0)
-    inv = normalized_invariants(t)
-    N = n_cutoff(t)
-    _check_delta_range(t, inv, N)
-    half = (N + 1) // 2
+    half = t._half
     m = min(_CHUNK, half)
     mask, edge = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     kappa = tau = min_tau = changes = 0
     negative = False            # the last nonzero delta so far is negative
-    for d in _delta_chunks(inv, half, counts=counts):
+    for d in _delta_chunks(t._invariants, half):
         nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
         if not nz.size:
             continue
@@ -315,6 +310,17 @@ def walk_statistics(t: SeifertTuple, counts: Counter = None) -> WalkStatistics:
         min_tau = min(min_tau, tau + int(walk.min()))
         tau += int(walk[-1])
     return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + negative + 1)
+
+
+def walk_counts(t: SeifertTuple) -> dict:
+    """walk_statistics(t)'s plan, as rank --stats writes it (see _plan);
+    five zeros for a degenerate tuple, which is not walked."""
+    half = 0 if t.is_degenerate else t._half
+    tabulated, divided = _plan(t._invariants.pairs if half else (), half)
+    return {"delta_entries": half, "chunks": -(-half // _CHUNK),
+            "fibers_tabulated": sum(len(group) for _, group in tabulated),
+            "fibers_divided": len(divided),
+            "table_entries": sum(period + _CHUNK for period, _ in tabulated)}
 
 
 def rank_pair(t: SeifertTuple) -> tuple:

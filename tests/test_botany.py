@@ -153,8 +153,8 @@ def test_rows_above_twelve():
 
 
 def test_scan_counts():
-    counts = Counter()
-    rows = botany.table(6, counts)
+    rows, counts = botany.scan(6)
+    assert rows == botany.table(6)
     stats = json.loads(botany.stats_json(counts))
     assert stats["rows"] == sum(len(rows[n].tuples) for n in range(1, 7))
     assert stats["rank_evals"] == sum(f["rank_evals"] for f in stats["fibers"].values())
@@ -163,6 +163,30 @@ def test_scan_counts():
     assert three["order"] > 0 and three["prime_floor"] > 0
     # every 3-fiber row but (2,3,5) is too large to prefix a 4-fiber row of rank <= 6
     assert four["cover"] == three["rows"]
+
+
+def test_one_walk_solves_each_invariant_once(monkeypatch):
+    # a scan's walk builds its tuple, then solves P, the normalized
+    # invariants, N and the range guard over [0, N] once each
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("checked_product", "mod_inverse", "check_int64"):
+        monkeypatch.setattr(seifert, name, counted(name, getattr(seifert, name)))
+    scan = botany._Scan(6)
+    for t in ((2, 3, 7), (3, 4, 5, 7), (2, 3, 5, 7, 11, 13)):
+        calls.clear()
+        scan.rank(t)
+        # check_int64 guards N and the walk's range
+        assert calls == {"checked_product": 1, "mod_inverse": len(t), "check_int64": 2}, t
+        calls.clear()
+        scan.rank(t)
+        assert not calls, t
 
 
 def test_prime_floor():

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -146,13 +145,12 @@ def test_each_tuple_walked_once(capsys, monkeypatch):
     walked = []
     walk_statistics = seifert.walk_statistics
 
-    def counting(t, *args):
+    def counting(t):
         walked.append(t.multiplicities)
-        return walk_statistics(t, *args)
+        return walk_statistics(t)
 
     monkeypatch.setattr(seifert, "walk_statistics", counting)
-    counts = Counter()
-    botany.table(12, counts)
+    _, counts = botany.scan(12)
     assert len(walked) == len(set(walked)) == 132
     assert json.loads(botany.stats_json(counts))["rank_evals"] == 132
     walked.clear()
@@ -228,6 +226,16 @@ def test_rank_stats_leaves_stdout_unchanged(capsys):
         assert stats["delta_entries"] == half, argv
         assert stats["chunks"] == -(-half // seifert._CHUNK), argv
         assert (stats["table_entries"] > 0) == (split[0] > 0), argv
+
+
+def test_stats_lines_match_golden(capsys):
+    # the stderr line of each --stats command, byte for byte: the walk's
+    # plan for four tuples, and the scan's counts for a table and a row
+    golden = json.loads((DATA / "stats_golden.json").read_text())
+    assert len(golden) == 6
+    for command, line in golden.items():
+        code, _, err = run(capsys, *command.split())
+        assert (code, err) == (0, line + "\n"), command
 
 
 def test_dense_sequence_refused_under_memory_cap():
@@ -367,6 +375,20 @@ def test_verify_refuses_second_tuple_it_does_not_take(capsys, argv):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err == f"error: verify {argv[0]}: takes one tuple, not a second after --\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("branched", "2", "3", "7", "--n="), "verify branched: --n must be an integer, not ''"),
+    (("pinch", "2", "x", "--", "5", "7"),
+     "verify pinch: a tuple entry must be an integer, not 'x'"),
+    (("monotone", "2", "3", "7", "--", "2", "3", "y"),
+     "verify monotone: a tuple entry must be an integer, not 'y'"),
+    (("degree", "2", "3", "7", "--move", "regular:x"),
+     "verify degree: an entry of --move regular:x must be an integer, not 'x'"),
+], ids=["branched", "pinch", "monotone", "degree"])
+def test_verify_names_a_token_that_is_not_an_integer(capsys, argv, message):
+    # the verifier, the option or the tuple, and the token, on one line
+    assert run(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_scan_cli(capsys):

@@ -216,6 +216,21 @@ def test_constructor_copies_the_callers_arrays():
     assert from_list.values.tolist() == [2, -1, -1]
 
 
+def test_adopt_checks_order_unless_it_builds_the_positions():
+    # positions the library passes are checked for order; positions None
+    # stand for 0..k-1, built by _adopt, and skip only that check
+    for positions in ([0, 2, 1], [0, 0, 1], [3, 2, 1]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            DeltaSequence._adopt(np.array(positions), np.array([1, -1, 1]))
+    seq = DeltaSequence._adopt(None, np.array([2, -1, 1]))
+    assert seq == DeltaSequence([0, 1, 2], [2, -1, 1])
+    assert seq.positions.dtype == np.int64 and not seq.positions.flags.writeable
+    with pytest.raises(ValueError, match="nonzero"):
+        DeltaSequence._adopt(None, np.array([1, 0]))
+    with pytest.raises(FirstElementNegativeError):
+        DeltaSequence._adopt(None, np.array([-1, 1]))
+
+
 def test_from_seifert_keeps_its_arrays_without_a_copy():
     # the dense half n < N/2 beside the nonzeros' positions and values,
     # about 15.6 bytes per entry of [0, N]; the dense array over all of

@@ -17,6 +17,7 @@ import random
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from floerrank import morphism, seifert, verify
@@ -64,19 +65,24 @@ def assert_agrees(m):
     assert verdicts(m) == verdicts(morphism_oracle.from_morphism(m))
 
 
+@pytest.fixture(scope="module")
 def criterion_05_families():
-    """The branched, comparison and pinch witnesses criterion 5 validates."""
+    """(kind, map, theta) for the branched, comparison and pinch witnesses
+    criterion 5 validates, built once for the three tests that read them
+    (about 0.5 GB, held while this module runs).  No test changes a map, and
+    every verdict a test asks of one is the same whether an earlier test
+    cached it or not."""
     rng = random.Random(50)
     branched = _random_branched_cases(rng, 200)
     pairs = _random_comparable_pairs(rng, 200)
     pinches = _random_pinch_cases(rng, 100)
-    for t, n in branched:
-        for m in morphism.branched_cover_embeddings(t, n):
-            yield "branched", m, None
-    for t, t2 in pairs:
-        yield "comparison", morphism.partial_order_immersion(t, t2), None
-    for base, q, r in pinches:
-        yield "pinch", *morphism.pinch_semi_immersion(base.multiplicities, q, r)
+    families = [("branched", m, None)
+                for t, n in branched for m in morphism.branched_cover_embeddings(t, n)]
+    families += [("comparison", morphism.partial_order_immersion(t, t2), None)
+                 for t, t2 in pairs]
+    families += [("pinch", *morphism.pinch_semi_immersion(base.multiplicities, q, r))
+                 for base, q, r in pinches]
+    return families
 
 
 def assert_same(m, oracle, *names):
@@ -84,10 +90,10 @@ def assert_same(m, oracle, *names):
         assert getattr(m, name)() == getattr(oracle, name)(), name
 
 
-def test_criterion_05_families_match_oracle():
+def test_criterion_05_families_match_oracle(criterion_05_families):
     # the verdicts criterion 5 asks of each family
     checked = set()
-    for kind, m, theta in criterion_05_families():
+    for kind, m, theta in criterion_05_families:
         oracle = morphism_oracle.from_morphism(m)
         if kind == "branched":
             assert_same(m, oracle, "is_embedding", "preserves_values")
@@ -126,6 +132,50 @@ def test_comparison_images_match_scalar_membership():
         assert m.mapping[m.source.values > 0].tolist() == want, (t, t2)
         positives += len(want)
     assert positives > 10**6
+
+
+@st.composite
+def comparable_pairs(draw):
+    """Tuples t <= t2 componentwise, both of 3 or 4 fibers with cutoff at
+    most 20,000: t's entries below 38 (3 fibers) or 16 (4), each raised by 0
+    to 3 in t2."""
+    small, large = [], []
+    length = draw(st.integers(3, 4))
+    for _ in range(length):
+        p = draw(st.sampled_from([p for p in range(2, 38 if length == 3 else 16)
+                                  if all(math.gcd(p, q) == 1 for q in small)]))
+        small.append(p)
+    small.sort()
+    for p in small:
+        raised = [q for q in range(p, p + 4)
+                  if q > max(large, default=1) and all(math.gcd(q, u) == 1 for u in large)]
+        assume(raised)
+        large.append(draw(st.sampled_from(raised)))
+    t, t2 = seifert.SeifertTuple(tuple(small)), seifert.SeifertTuple(tuple(large))
+    assume(not t.is_degenerate and not t2.is_degenerate)
+    assume(max(seifert.n_cutoff(t), seifert.n_cutoff(t2)) <= 20_000)
+    return t, t2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(comparable_pairs())
+def test_comparison_witness_against_normal_forms(pair):
+    # the witness is an immersion (also by the oracle's verdict), and its
+    # index is the target index of each member's normal-form image, with
+    # N - x sent to N' - y where x goes to y
+    t, t2 = pair
+    m = morphism.partial_order_immersion(t, t2)
+    assert m.is_immersion() and morphism_oracle.from_morphism(m).is_immersion()
+    n1, n2, p2 = seifert.n_cutoff(t), seifert.n_cutoff(t2), t2.product
+    normal_form = normal_forms(t)
+    image = {}
+    for x in m.source.positive_positions.tolist():
+        k, xs = normal_form(x)
+        image[x] = p2 * k + sum(xi * (p2 // q) for xi, q in zip(xs, t2.multiplicities))
+        image[n1 - x] = n2 - image[x]
+    assert sorted(image) == m.source.positions.tolist()
+    want = m.target.indices_of([image[x] for x in m.source.positions.tolist()])
+    assert np.array_equal(m.index, want)
 
 
 # -- the pinch construction against its scalar form -------------------------
@@ -327,9 +377,9 @@ def assert_cached_verdicts_match_fresh(m, theta=None):
     assert morphism.is_control_function(m, theta)
 
 
-def test_cached_verdicts_match_a_fresh_map():
+def test_cached_verdicts_match_a_fresh_map(criterion_05_families):
     kinds = set()
-    for kind, m, theta in criterion_05_families():
+    for kind, m, theta in criterion_05_families:
         assert_cached_verdicts_match_fresh(m, theta)
         kinds.add(kind)
     assert kinds == {"branched", "comparison", "pinch"}
@@ -342,9 +392,9 @@ def test_cached_verdicts_match_a_fresh_map():
                     DeltaMorphism(m.source, m.target, index))
 
 
-def test_repairs_from_indices_match_the_public_constructor():
+def test_repairs_from_indices_match_the_public_constructor(criterion_05_families):
     repaired = 0
-    for kind, m, theta in criterion_05_families():
+    for kind, m, theta in criterion_05_families:
         if kind == "pinch":
             result = morphism.fix_defects(m, theta)[2]
         elif kind == "branched":

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from unittest.mock import patch
@@ -9,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from floerrank import seifert
-from floerrank.errors import NonPositiveEntryError, NotCoprimeError
+from floerrank import deltaseq, seifert
+from floerrank.errors import DegenerateTupleError, NonPositiveEntryError, NotCoprimeError
 
 from conftest import random_tuple
 from semigroup_oracle import membership, membership_k_array, normal_forms, semigroup_sieve
@@ -264,18 +263,53 @@ def test_delta_array_overflow_guard(monkeypatch):
     t = seifert.make_tuple([2, 3, 7])
     with pytest.raises(OverflowError):
         seifert.delta_array(t, 2**62)
-    # the chunked walk guards the whole of [0, N], not one chunk at a time
+    # the chunked walk guards the whole of [0, N], not one chunk at a time,
+    # and it does so at the walk, each time, not when the tuple is built
+    wide = seifert.make_tuple([2, 3, 10**10 + 1])
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            seifert.walk_statistics(wide)
+        with pytest.raises(OverflowError):
+            seifert.walk_counts(wide)
+
+
+def test_tuple_keeps_only_its_invariants():
+    # a walk, a delta array and a sequence leave on the tuple only what it
+    # derives from its multiplicities; equality and hashing ignore them
+    t = seifert.make_tuple([2, 3, 5, 7, 11])
+    fresh = seifert.make_tuple([2, 3, 5, 7, 11])
+    stats = seifert.walk_statistics(t)
+    seifert.delta_array(t, 100)
+    deltaseq.from_seifert(t)
+    assert set(vars(t)) == {"multiplicities", "product", "_invariants", "_cutoff", "_half"}
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    assert seifert.walk_statistics(t) == stats == seifert.walk_statistics(fresh)
+    assert seifert.normalized_invariants(t) is seifert.normalized_invariants(t)
+    with pytest.raises(DegenerateTupleError):
+        seifert.n_cutoff(seifert.make_tuple([]))
     with pytest.raises(OverflowError):
-        seifert.walk_statistics(seifert.make_tuple([2, 3, 10**10 + 1]))
+        seifert.SeifertTuple((2**32 + 1, 2**32 + 3))
 
 
-def _table_reads(t, stop):
+def _record_ceilings(monkeypatch) -> list:
+    """(entries, fibers) of each _subtract_ceilings call the walks make.  A
+    call over more than _CHUNK entries builds a table of period entries -
+    _CHUNK; each other call divides fibers out of one chunk."""
+    calls = []
+    subtract = seifert._subtract_ceilings
+
+    def recording(acc, n, pairs, term):
+        calls.append((n.size, len(pairs)))
+        subtract(acc, n, pairs, term)
+
+    monkeypatch.setattr(seifert, "_subtract_ceilings", recording)
+    return calls
+
+
+def _table_reads(periods, stop):
     """(starts at a multiple of a tabulated period, chunks straddling one)."""
-    inv = seifert.normalized_invariants(t)
     at_zero = straddles = 0
-    for q, _ in seifert._fiber_groups(inv.pairs):
-        if q > seifert._PERIOD or q + seifert._CHUNK >= stop:
-            continue
+    for q in periods:
         for start in range(0, stop, seifert._CHUNK):
             r, m = start % q, min(seifert._CHUNK, stop - start)
             at_zero += r == 0
@@ -289,21 +323,27 @@ def test_period_tables_match_division_formula(monkeypatch, period, chunk):
     # nothing tabulated (period 1), small fibers only (50), all that fits
     monkeypatch.setattr(seifert, "_PERIOD", period)
     monkeypatch.setattr(seifert, "_CHUNK", chunk)
+    calls = _record_ceilings(monkeypatch)
     rng = random.Random(43)
     at_zero = straddles = tabulated = 0
     for _ in range(15):
         t = random_tuple(rng, lengths=(3, 4, 5), max_product=2000)
         N = seifert.n_cutoff(t)
         upto = 2 * N + t.product
+        calls.clear()
         assert np.array_equal(seifert.delta_array(t, upto), dense_delta(t, upto)), t
+        # the tables the walk built, each for a period it revisits
+        built = [(size - chunk, fibers) for size, fibers in calls if size > chunk]
+        divided = {fibers for size, fibers in calls if size <= chunk}
+        assert all(q <= period and q + chunk < upto + 1 for q, _ in built), t
+        fibers = sum(f for _, f in built)
+        assert divided == {t.fiber_count - fibers}, t
+        groups, rest = seifert._plan(seifert.normalized_invariants(t).pairs, upto + 1)
+        assert built == [(q, len(group)) for q, group in groups], t
+        assert len(rest) == t.fiber_count - fibers, t
         assert_matches_oracle(t)
-        counts = Counter()
-        for d in seifert._delta_chunks(seifert.normalized_invariants(t), upto + 1,
-                                       counts=counts):
-            pass
-        assert counts["fibers_tabulated"] + counts["fibers_divided"] == t.fiber_count
-        tabulated += counts["fibers_tabulated"]
-        reads = _table_reads(t, upto + 1)
+        tabulated += fibers
+        reads = _table_reads([q for q, _ in built], upto + 1)
         at_zero, straddles = at_zero + reads[0], straddles + reads[1]
     if period == 1:
         assert tabulated == 0
@@ -320,10 +360,17 @@ def test_period_table_threshold(monkeypatch, above):
     half = (N + 1) // 2
     monkeypatch.setattr(seifert, "_PERIOD", 10**9)
     monkeypatch.setattr(seifert, "_CHUNK", half - Q - above)
-    counts = Counter()
-    stats = seifert.walk_statistics(t, counts)
+    calls = _record_ceilings(monkeypatch)
+    stats = seifert.walk_statistics(t)
+    counts = seifert.walk_counts(t)
+    # walk_counts reports the tables and chunks the walk made
+    chunk = seifert._CHUNK
+    built = [(size, fibers) for size, fibers in calls if size > chunk]
+    divided = [fibers for size, fibers in calls if size <= chunk]
+    assert counts["fibers_tabulated"] == sum(f for _, f in built)
     assert counts["fibers_tabulated"] == (t.fiber_count if above else 0)
-    assert counts["table_entries"] == (half - 1 if above else 0)
+    assert counts["table_entries"] == sum(size for size, _ in built) == (half - 1 if above else 0)
+    assert counts["chunks"] == len(divided) and set(divided) == {counts["fibers_divided"]}
     assert counts["delta_entries"] == half
     want = dense_walk(t)
     assert (stats.kappa, stats.min_tau, stats.c) == (want.kappa, want.min_tau, want.c)
