@@ -22,8 +22,10 @@ The ranks come from one kernel, walk_statistics.  It reads kappa, min tau
 and the sign-change count off the tau walk (the formula view; the graded
 root's extrema give the same numbers and are a test oracle).  By the
 antisymmetry it walks only n < N/2, and it evaluates delta there in chunks
-of fixed size, so its memory stays flat as N grows.  Each chunk is first
-compacted to its nonzeros, and every statistic is read off those alone.
+of fixed size, so its memory stays flat as N grows.  Between two positive
+deltas tau only falls, so a chunk with few positives (at most 1/_SPARSE of
+it) has its statistics read off the sums between its positives alone; any
+other chunk is compacted to its nonzeros, and they are read off those.
 
 Each ceiling term is quasi-periodic, ceil((n + p) p'/p) = ceil(n p'/p) + p',
 so a group of fibers with period Q (the product of its multiplicities)
@@ -31,15 +33,15 @@ repeats its ceiling sum, shifted by a constant, every Q values.  The chunked
 evaluator behind walk_statistics and delta_array groups the fibers
 greedily in ascending order while Q stays at most _PERIOD, and tabulates a
 group once over [0, Q + _CHUNK) only when the walk revisits its period
-(Q + _CHUNK < the walk's length); a chunk then reads one slice per table.
-The other fibers are divided out on every chunk by the formula the tables
-are built with, so a walk of one chunk does the work it always did.
+(Q + _CHUNK < the walk's length); a chunk then reads one slice per table,
+and the first table also carries the linear term |e_0| n.  The other
+fibers are divided out on every chunk by the formula the tables are built
+with, so a walk of one chunk does the work it always did.
 _plan makes that decision, and walk_counts reports it (rank --stats).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -92,13 +94,6 @@ class SeifertTuple:
             return "S3"
         return "(" + ",".join(str(m) for m in self.multiplicities) + ")"
 
-    @cached_property
-    def _half(self) -> int:
-        """(N + 1) // 2, the walk's length, once delta's guard over [0, N] passes."""
-        N = n_cutoff(self)
-        _check_delta_range(self, N)
-        return (N + 1) // 2
-
 
 def make_tuple(raw) -> SeifertTuple:
     """Canonicalize a list of multiplicities: drop 1s, sort, validate."""
@@ -147,21 +142,41 @@ def _check_delta_range(t: SeifertTuple, upto: int):
     check_int64(4 * (upto + 1) * max(abs(t._invariants.e0), t.multiplicities[-1]))
 
 
+def _half(t: SeifertTuple) -> int:
+    """(N + 1) // 2, the walk's length, once delta's guard over [0, N] passes.
+
+    It is kept in t's __dict__ as "_half" after the first pass, read and set
+    there directly (a cached_property takes a lock on each first read); a
+    guard that raises keeps nothing, so every walk of that tuple raises.
+    """
+    half = t.__dict__.get("_half")
+    if half is None:
+        N = n_cutoff(t)
+        _check_delta_range(t, N)
+        half = t.__dict__["_half"] = (N + 1) // 2
+    return half
+
+
 # delta values a walk evaluates at a time; a few int64 arrays of this
 # length are alive at once, whatever N is
 _CHUNK = 1 << 14
 # largest fiber-group period tabulated: a table holds at most
 # _PERIOD + _CHUNK int64 values, about 0.6 MB
 _PERIOD = 1 << 16
+# a walk reads a chunk off its positive entries, not its compacted
+# nonzeros, when at most 1/_SPARSE of the chunk is positive
+_SPARSE = 16
 
 
 def _subtract_ceilings(acc: np.ndarray, n: np.ndarray, pairs, term: np.ndarray):
-    """acc -= the sum of ceil(n p'/p) over the (p', p) pairs, in place; term is scratch."""
+    """acc -= the sum of ceil(n p'/p) over the (p', p) pairs, in place; term is scratch.
+
+    ceil(n p'/p) = -floor(-n p'/p), and numpy's // floors, so each fiber
+    takes three passes."""
     for pp, p in pairs:
-        np.multiply(n, pp, out=term)
-        term += p - 1
+        np.multiply(n, -pp, out=term)
         term //= p
-        acc -= term
+        acc += term
 
 
 def _plan(pairs, stop: int) -> tuple:
@@ -197,22 +212,27 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
     F_G(n + Q) = F_G(n) + A_G, with F_G(n) the sum of its ceil(n p_i'/p_i)
     and A_G = sum (Q/p_i) p_i'.  For each group _plan tabulates, -F_G is
     tabulated once over [0, Q + _CHUNK), and a chunk at s reads the slice at
-    s mod Q, less (s // Q) A_G.  Every other fiber is divided out on each
-    chunk, by the formula the tables are built with.
+    r = s mod Q, less (s // Q) A_G.  The first table also carries the linear
+    term, |e0| x - F_G(x), so its slice is shifted by |e0| (s - r) as well
+    and no chunk multiplies n by |e0|.  Every other fiber is divided out on
+    each chunk, by the formula the tables are built with; with no table,
+    |e0| n is too.
     """
     tabulated, divided = _plan(inv.pairs, stop)
+    e = abs(inv.e0)
     tables = []
     for period, group in tabulated:
         span = np.arange(period + _CHUNK, dtype=np.int64)
-        table = np.zeros_like(span)
+        table = np.zeros_like(span) if tables else span * e
         _subtract_ceilings(table, span, group, np.empty_like(span))
         tables.append((period, sum(period // p * pp for pp, p in group), table))
-    e = abs(inv.e0)
-    n = np.arange(min(_CHUNK, stop), dtype=np.int64)    # the chunk's n, advanced in place
+    # the chunk's n, advanced in place; only divided fibers read it, and
+    # with no table every fiber is divided
+    n = np.arange(min(_CHUNK, stop), dtype=np.int64)
     term = np.empty_like(n)
     buffer = np.empty_like(n) if out is None else None
     for start in range(0, stop, _CHUNK):
-        if start:
+        if start and divided:
             n += _CHUNK
         m = n.size
         if start + m > stop:                # the last chunk is shorter
@@ -221,15 +241,20 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
             if buffer is not None:
                 buffer = buffer[:m]
         d = buffer if out is None else out[start:start + m]
-        np.multiply(n, e, d)
         shift = 1
         for q, a, _ in tables:
             shift -= start // q * a
-        d += shift
-        _subtract_ceilings(d, n, divided, term)
-        for q, _, table in tables:
+        if tables:
+            q, _, table = tables[0]
             r = start % q
-            d += table[r:r + m]
+            np.add(table[r:r + m], shift + e * (start - r), out=d)
+            for q, _, table in tables[1:]:
+                r = start % q
+                d += table[r:r + m]
+        else:
+            np.multiply(n, e, d)
+            d += shift
+        _subtract_ceilings(d, n, divided, term)
         yield d
 
 
@@ -276,46 +301,71 @@ def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     is negative, and the final descent adds one: c = 2 c_half + [last < 0]
     + 1.  delta is evaluated _CHUNK values at a time, carrying tau, its
     minimum, the change count and the last nonzero sign from chunk to
-    chunk, so memory is flat in N.  Each chunk is compacted to its nonzeros
-    first (compress, about half the cost of boolean indexing), and the
-    statistics are read off them alone: zeros add nothing to kappa, repeat
-    a prefix sum of tau, and sit between the two signs of a change.  The
-    sign masks go into two boolean buffers allocated once per walk and the
-    prefix sums overwrite the nonzeros, so a chunk allocates only its
-    nonzeros (with compress's index array) and their absolute values; an
-    int64 buffer held for the walk would sit beside that index array and
-    raise the walk's peak.  A fiber group whose period the half
-    walks past more than once is read from a table of its period (see
-    _plan) instead of being divided out on every chunk; a walk of
-    one chunk builds no table.  walk_counts(t) reports the walk's plan.
+    chunk, so memory is flat in N.  Each chunk first counts its positives.
+    Between two positives tau only falls, so a chunk with none adds its
+    sum, and one at most 1/_SPARSE positive is read off its positives: the
+    sums before the first and from each positive to the next
+    (np.add.reduceat) give tau's minimum, kappa (twice the positives' sum
+    less the chunk's) and the changes (positives after a nonzero fall).
+    Any other chunk is compacted to its nonzeros (compress, about half the
+    cost of boolean indexing) and read off those.  The masks go into two
+    boolean buffers allocated once per walk, so a chunk allocates only
+    arrays of its positives' or its nonzeros' length (with compress's
+    index array); an int64 buffer held for the walk would sit beside them
+    and raise the walk's peak.  A fiber group whose period the half walks
+    past more than once is read from a table of its period (see _plan)
+    instead of being divided out on every chunk; a walk of one chunk
+    builds no table.  walk_counts(t) reports the walk's plan.
     """
     if t.is_degenerate:
         return WalkStatistics(kappa=0, min_tau=0, c=0)
-    half = t._half
+    half = _half(t)
     m = min(_CHUNK, half)
     mask, edge = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
     kappa = tau = min_tau = changes = 0
     negative = False            # the last nonzero delta so far is negative
     for d in _delta_chunks(t._invariants, half):
-        nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
-        if not nz.size:
-            continue
-        neg = np.less(nz, 0, out=mask[:nz.size])
-        # a - to + change is a negative followed by a positive: True > False
-        changes += negative and not neg[0]
-        changes += int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
-        negative = bool(neg[-1])
-        kappa += int(np.abs(nz).sum())
-        walk = np.cumsum(nz, out=nz)
-        min_tau = min(min_tau, tau + int(walk.min()))
-        tau += int(walk[-1])
+        rises = np.greater(d, 0, out=mask[:d.size])
+        k = int(np.count_nonzero(rises))
+        if not k:                           # tau only falls
+            fall = int(d.sum())
+            kappa -= fall
+            tau += fall
+            min_tau = min(min_tau, tau)
+            negative = negative or fall < 0
+        elif k * _SPARSE <= d.size:         # read off the positives
+            pos = np.flatnonzero(rises)
+            head = int(d[:pos[0]].sum())    # the fall before the first positive
+            seg = np.add.reduceat(d, pos)   # each positive and the fall after it
+            up = d[pos]
+            total = head + int(seg.sum())
+            kappa += 2 * int(up.sum()) - total
+            gap = np.subtract(seg, up, out=up)
+            # a - to + change is a positive after a fall; the first one
+            # falls from the head, or from the carried sign when head is 0
+            changes += (head < 0 or negative) + int(np.count_nonzero(gap[:-1]))
+            negative = bool(gap[-1] < 0)
+            walk = np.cumsum(seg, out=seg)  # tau just before each next positive
+            min_tau = min(min_tau, tau + head + min(0, int(walk.min())))
+            tau += total
+        else:                               # compact to the nonzeros
+            nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
+            neg = np.less(nz, 0, out=mask[:nz.size])
+            # a - to + change is a negative followed by a positive: True > False
+            changes += negative and not neg[0]
+            changes += int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
+            negative = bool(neg[-1])
+            kappa += int(np.abs(nz).sum())
+            walk = np.cumsum(nz, out=nz)
+            min_tau = min(min_tau, tau + int(walk.min()))
+            tau += int(walk[-1])
     return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + negative + 1)
 
 
 def walk_counts(t: SeifertTuple) -> dict:
     """walk_statistics(t)'s plan, as rank --stats writes it (see _plan);
     five zeros for a degenerate tuple, which is not walked."""
-    half = 0 if t.is_degenerate else t._half
+    half = 0 if t.is_degenerate else _half(t)
     tabulated, divided = _plan(t._invariants.pairs if half else (), half)
     return {"delta_entries": half, "chunks": -(-half // _CHUNK),
             "fibers_tabulated": sum(len(group) for _, group in tabulated),

@@ -199,13 +199,20 @@ def test_walk_kernel_chunk_boundaries(monkeypatch, chunk):
     # replaced, at the default chunk and at chunks that split every carry
     if chunk:
         monkeypatch.setattr(seifert, "_CHUNK", chunk)
-    size = seifert._CHUNK
+    if chunk and chunk < 16:    # 1/16 of a chunk this small holds no positive
+        monkeypatch.setattr(seifert, "_SPARSE", 1 if chunk == 1 else 2)
+    size, sparse = seifert._CHUNK, seifert._SPARSE
     rng = random.Random(42)
     corpus = [random_tuple(rng, lengths=(3, 3, 4, 5), max_product=6000) for _ in range(30)]
     if size >= 7:   # a zero run of 26
         corpus.append(seifert.make_tuple([13, 15, 17, 19]))
     if chunk is None:   # more chunks at the default
         corpus.append(seifert.make_tuple([2, 3, 5, 7, 11, 13]))
+    # 6 and 7 fibers: positives are a few percent of delta, so chunks are
+    # read off them (7 fibers walk 0.9M entries, too many for small chunks)
+    corpus += [random_tuple(rng, lengths=(6,), max_product=50000) for _ in range(2)]
+    if size >= 64:
+        corpus.append(random_tuple(rng, lengths=(7,), max_product=600000))
     seen = set()
     for t in corpus:
         assert_matches_oracle(t)
@@ -229,19 +236,44 @@ def test_walk_kernel_chunk_boundaries(monkeypatch, chunk):
         after_vals = half[nz_at[after[inside]]]
         if ((before_vals < 0) & (after_vals > 0)).any():
             seen.add("splits a change")
-    want = {"starts on zero", "ends on zero", "splits a change"}
+        # the chunks the kernel reads off their positives, by its rule
+        starts = np.arange(0, len(half), size)
+        positives = np.add.reduceat(half > 0, starts)
+        read = (positives > 0) & (positives * sparse <= np.diff(starts, append=len(half)))
+        if read.any():
+            seen.add("read off positives")
+        if (read & (half[starts] > 0)).any():
+            seen.add("read chunk starts on a positive")
+        if read.any() and (positives > 0).sum() > read.sum():
+            seen.add("both paths in one walk")
+        if (positives[1:-1] == 0).any():
+            seen.add("positive-free mid-walk")
+        # a positive read off its chunk whose previous nonzero, negative, is
+        # in an earlier chunk: the change comes from the carried sign
+        prev, cur = nz_at[:-1], nz_at[1:]
+        if ((half[cur] > 0) & (half[prev] < 0) & (prev // size < cur // size)
+                & read[cur // size]).any():
+            seen.add("change carried into a read chunk")
+    want = {"starts on zero", "ends on zero", "splits a change", "read off positives",
+            "read chunk starts on a positive"}
     if size <= 7:   # the zero run of 26 holds a whole chunk of 7, not one of 64
         want.add("all zeros")
-    assert want <= seen
+    if size > 1:    # a chunk of one entry has one path
+        want.add("both paths in one walk")
+    if chunk:       # chunks of the default size hold a positive or a carry
+        want |= {"positive-free mid-walk", "change carried into a read chunk"}
+    assert want <= seen, want - seen
 
 
 @pytest.mark.parametrize("ms, kappa, min_tau, c", [
     ((2, 3, 5, 7, 11, 163), 405960, -349950, 53936),
     ((2, 3, 5, 7, 11, 13, 17), 922733, -825720, 81120),
     ((2, 3, 5, 344827), 1896541, -1206888, 678159),
+    ((2, 3, 5, 7, 11, 13, 17, 19), 27286894, -25040582, 1663009),
 ])
 def test_walk_kernel_large_records(ms, kappa, min_tau, c):
-    # records of the rank benchmark's fixed tuples, cutoffs 1.0e6 to 1.0e7
+    # records of the rank benchmark's fixed tuples, cutoffs 1.0e6 to 4.4e7;
+    # most chunks of the last are read off their few positives, or have none
     t = seifert.make_tuple(ms)
     got = seifert.walk_statistics(t)
     assert (got.kappa, got.min_tau, got.c) == (kappa, min_tau, c)
@@ -326,6 +358,7 @@ def test_period_tables_match_division_formula(monkeypatch, period, chunk):
     calls = _record_ceilings(monkeypatch)
     rng = random.Random(43)
     at_zero = straddles = tabulated = 0
+    linear = False      # a first table read across its period with |e0| >= 2
     for _ in range(15):
         t = random_tuple(rng, lengths=(3, 4, 5), max_product=2000)
         N = seifert.n_cutoff(t)
@@ -345,10 +378,14 @@ def test_period_tables_match_division_formula(monkeypatch, period, chunk):
         tabulated += fibers
         reads = _table_reads([q for q, _ in built], upto + 1)
         at_zero, straddles = at_zero + reads[0], straddles + reads[1]
+        # the first table carries |e0| x, shifted by |e0| (s - s mod Q)
+        e0 = seifert.normalized_invariants(t).e0
+        linear |= bool(built) and e0 <= -2 and _table_reads([built[0][0]], upto + 1)[1] > 0
     if period == 1:
         assert tabulated == 0
     else:
         assert tabulated > 0 and at_zero > 0 and (straddles > 0 or chunk == 1)
+        assert linear or chunk == 1
 
 
 @pytest.mark.parametrize("above", [0, 1])

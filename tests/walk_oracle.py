@@ -8,9 +8,10 @@ in chunks over half of [0, N] with some fibers read from period tables;
 the tests compare it with both views here.
 
 chunked_walk is the kernel's per-chunk loop from before the kernel
-compacted each chunk first: the same chunks, with the statistics read by
-boolean indexing and fresh arrays.  It checks the carries between chunks,
-which the dense views do not have.
+compacted each chunk or read it off its positives: the same chunks, with
+every statistic read from each chunk's full prefix sums, by boolean
+indexing and fresh arrays.  It checks the carries between chunks, which
+the dense views do not have, on both of the kernel's paths.
 """
 
 from dataclasses import dataclass
