@@ -34,7 +34,6 @@ runs one and returns its rows with its own counts of walks, rows and cuts,
 which botany --stats writes; solve and table keep the rows.
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd
@@ -238,6 +237,8 @@ def table(n_max: int) -> dict:
 def stats_json(counts: Counter) -> str:
     """One JSON line: total rank evaluations and rows, then per fiber count
     the rank evaluations, rows and the cuts that fired."""
+    import json     # here, not at module level: import floerrank stays without it
+
     fibers = {}
     for (length, name), value in sorted(counts.items()):
         fibers.setdefault(str(length), {})[name] = value
@@ -256,4 +257,6 @@ def table_csv(rows: dict) -> str:
 
 
 def table_json(rows: dict) -> str:
+    import json
+
     return json.dumps([rows[n].to_json() for n in sorted(rows)], indent=2) + "\n"

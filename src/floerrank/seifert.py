@@ -32,16 +32,23 @@ so a group of fibers with period Q (the product of its multiplicities)
 repeats its ceiling sum, shifted by a constant, every Q values.  The chunked
 evaluator behind walk_statistics and delta_array groups the fibers
 greedily in ascending order while Q stays at most _PERIOD, and tabulates a
-group once over [0, Q + _CHUNK) only when the walk revisits its period
-(Q + _CHUNK < the walk's length); a chunk then reads one slice per table,
-and the first table also carries the linear term |e_0| n.  The other
+group once over [0, Q + _CHUNK) only when the table is shorter than the
+entries the walk evaluates; a chunk then reads one slice per table, and
+the first table also carries the linear term |e_0| n.  The other
 fibers are divided out on every chunk by the formula the tables are built
 with, so a walk of one chunk does the work it always did.
 _plan makes that decision, and walk_counts reports it (rank --stats).
+
+On a block [jp, (j+1)p) of the largest multiplicity p, delta is periodic
+with period b = P/p, since the fraction p'/p may be replaced there by its
+Farey neighbour a/b (see walk_statistics).  When p dwarfs b (p > _CHUNK,
+p >= 4b and b <= _PERIOD) the walk evaluates one period per block, reads
+it, and folds the block's repetitions of it in closed form; on
+(2,3,600000005) that is 6 entries of the half's 3*10^8.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -123,8 +130,10 @@ def normalized_invariants(t: SeifertTuple) -> NormalizedInvariants:
     return t._invariants
 
 
-def euler_number(t: SeifertTuple) -> Fraction:
-    """Orbifold Euler number e0 + sum p_i'/p_i; always equals -1/P."""
+def euler_number(t: SeifertTuple):
+    """Orbifold Euler number e0 + sum p_i'/p_i, a Fraction; always equals -1/P."""
+    from fractions import Fraction  # here, as import floerrank needs no fractions
+
     inv = normalized_invariants(t)
     e = Fraction(inv.e0) + sum(Fraction(pp, p) for pp, p in inv.pairs)
     assert e == Fraction(-1, t.product)
@@ -179,13 +188,15 @@ def _subtract_ceilings(acc: np.ndarray, n: np.ndarray, pairs, term: np.ndarray):
         acc += term
 
 
-def _plan(pairs, stop: int) -> tuple:
-    """(tabulated, divided) for delta over [0, stop), the one table-or-divide
-    decision: the (p', p) pairs, in ascending p, are cut greedily into
-    groups whose period (product of p) stays at most _PERIOD (a fiber above
-    it is a group alone); a (period, pairs) group the walk revisits (period
-    + _CHUNK < stop) is tabulated, and the other pairs are divided out."""
-    if stop <= _CHUNK + 2:      # the walk revisits no period, as each is >= 2
+def _plan(pairs, work: int) -> tuple:
+    """(tabulated, divided) for an evaluation of work delta entries, the one
+    table-or-divide decision: the (p', p) pairs, in ascending p, are cut
+    greedily into groups whose period (product of p) stays at most _PERIOD
+    (a fiber above it is a group alone); a (period, pairs) group whose table
+    is shorter than the work (period + _CHUNK < work; over [0, work) the
+    walk then revisits the period) is tabulated, and the other pairs are
+    divided out."""
+    if work <= _CHUNK + 2:      # no table is shorter, as each period is >= 2
         return [], pairs
     groups, tabulated, divided = [], [], []
     for pp, p in pairs:
@@ -195,18 +206,19 @@ def _plan(pairs, stop: int) -> tuple:
         else:
             groups.append((p, [(pp, p)]))
     for period, group in groups:
-        if period <= _PERIOD and period + _CHUNK < stop:
+        if period <= _PERIOD and period + _CHUNK < work:
             tabulated.append((period, group))
         else:
             divided.extend(group)
     return tabulated, divided
 
 
-def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
-    """Yield delta(n) for 0 <= n < stop in consecutive int64 chunks of at
-    most _CHUNK values; the caller guards the range.
+def _delta_chunks(inv: NormalizedInvariants, spans, work: int, out=None):
+    """Yield delta(n) over each span first <= n < stop of spans, in turn, in
+    consecutive int64 chunks of at most _CHUNK values, none across two
+    spans; work is the spans' total length, and the caller guards the range.
 
-    The chunks are views of out (length stop) when it is given, else of
+    The chunks are views of out (length work) when it is given, else of
     one buffer reused from chunk to chunk, so only the last chunk yielded
     is valid.  A fiber group G of period Q = prod p_i has
     F_G(n + Q) = F_G(n) + A_G, with F_G(n) the sum of its ceil(n p_i'/p_i)
@@ -218,7 +230,7 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
     each chunk, by the formula the tables are built with; with no table,
     |e0| n is too.
     """
-    tabulated, divided = _plan(inv.pairs, stop)
+    tabulated, divided = _plan(inv.pairs, work)
     e = abs(inv.e0)
     tables = []
     for period, group in tabulated:
@@ -226,36 +238,40 @@ def _delta_chunks(inv: NormalizedInvariants, stop: int, out=None):
         table = np.zeros_like(span) if tables else span * e
         _subtract_ceilings(table, span, group, np.empty_like(span))
         tables.append((period, sum(period // p * pp for pp, p in group), table))
-    # the chunk's n, advanced in place; only divided fibers read it, and
-    # with no table every fiber is divided
-    n = np.arange(min(_CHUNK, stop), dtype=np.int64)
-    term = np.empty_like(n)
-    buffer = np.empty_like(n) if out is None else None
-    for start in range(0, stop, _CHUNK):
-        if start and divided:
-            n += _CHUNK
-        m = n.size
-        if start + m > stop:                # the last chunk is shorter
-            m = stop - start
-            n, term = n[:m], term[:m]
-            if buffer is not None:
-                buffer = buffer[:m]
-        d = buffer if out is None else out[start:start + m]
-        shift = 1
-        for q, a, _ in tables:
-            shift -= start // q * a
-        if tables:
-            q, _, table = tables[0]
-            r = start % q
-            np.add(table[r:r + m], shift + e * (start - r), out=d)
-            for q, _, table in tables[1:]:
+    # the chunk's n, moved in place to each chunk's start (at); only divided
+    # fibers read it, and with no table every fiber is divided
+    size = min(_CHUNK, work)
+    ns, terms = np.arange(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    buffers = np.empty_like(ns) if out is None else None
+    n, term, buffer = ns, terms, buffers
+    at = done = 0
+    for first, stop in spans:
+        for start in range(first, stop, _CHUNK):
+            m = min(size, stop - start)
+            if m != n.size:                 # a span's last chunk is shorter
+                n, term = ns[:m], terms[:m]
+                if out is None:
+                    buffer = buffers[:m]
+            if divided and start != at:
+                ns += start - at
+                at = start
+            d = buffer if out is None else out[done:done + m]
+            done += m
+            shift = 1
+            for q, a, _ in tables:
+                shift -= start // q * a
+            if tables:
+                q, _, table = tables[0]
                 r = start % q
-                d += table[r:r + m]
-        else:
-            np.multiply(n, e, d)
-            d += shift
-        _subtract_ceilings(d, n, divided, term)
-        yield d
+                np.add(table[r:r + m], shift + e * (start - r), out=d)
+                for q, _, table in tables[1:]:
+                    r = start % q
+                    d += table[r:r + m]
+            else:
+                np.multiply(n, e, d)
+                d += shift
+            _subtract_ceilings(d, n, divided, term)
+            yield d
 
 
 def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
@@ -263,7 +279,7 @@ def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
     inv = normalized_invariants(t)
     _check_delta_range(t, upto)
     out = np.empty(upto + 1, dtype=np.int64)
-    for _ in _delta_chunks(inv, upto + 1, out):
+    for _ in _delta_chunks(inv, [(0, upto + 1)], upto + 1, out):
         pass
     return out
 
@@ -290,6 +306,92 @@ class WalkStatistics:
         return 2 * self.c + 1
 
 
+# A walk's summary is (kappa, its tau total, the minimum of its tau prefixes
+# with the empty one, its - to + changes, its first and its last nonzero
+# sign); a sign is -1 or 1, or 0 in a walk with no nonzero delta.
+_EMPTY = (0, 0, 0, 0, 0, 0)
+
+
+def _join(a: tuple, b: tuple) -> tuple:
+    """The summary of walk a followed by walk b."""
+    kappa, total, low, changes, first, last = a
+    kappa_b, total_b, low_b, changes_b, first_b, last_b = b
+    return (kappa + kappa_b, total + total_b, min(low, total + low_b),
+            changes + changes_b + (last < 0 < first_b), first or first_b, last_b or last)
+
+
+def _repeat(s: tuple, r: int) -> tuple:
+    """The summary of walk s repeated r times, in closed form: the lowest
+    prefix is in the first copy or the last, and each seam between copies
+    is a change when s ends negative and starts positive."""
+    if not r:
+        return _EMPTY
+    kappa, total, low, changes, first, last = s
+    return (kappa * r, total * r, low + min(0, (r - 1) * total),
+            changes * r + (r - 1) * (last < 0 < first), first, last)
+
+
+def _read(d: np.ndarray, mask: np.ndarray, edge: np.ndarray) -> tuple:
+    """The summary of a chunk d of delta; mask and edge are boolean buffers
+    at least as long as d.
+
+    The chunk first counts its positives.  Between two positives tau only
+    falls, so a chunk with none is read off its sum, and one at most
+    1/_SPARSE positive off its positives: the sums before the first and
+    from each positive to the next (np.add.reduceat) give tau's minimum,
+    kappa (twice the positives' sum less the chunk's) and the changes
+    (positives after a nonzero fall).  Any other chunk is compacted to its
+    nonzeros (compress, about half the cost of boolean indexing) and read
+    off those.  So a chunk allocates only arrays of its positives' or its
+    nonzeros' length (with compress's index array).
+    """
+    rises = np.greater(d, 0, out=mask[:d.size])
+    k = int(np.count_nonzero(rises))
+    if not k:                               # tau only falls
+        fall = int(d.sum())
+        sign = -1 if fall < 0 else 0
+        return -fall, fall, fall, 0, sign, sign
+    if k * _SPARSE <= d.size:               # read off the positives
+        pos = np.flatnonzero(rises)
+        head = int(d[:pos[0]].sum())        # the fall before the first positive
+        seg = np.add.reduceat(d, pos)       # each positive and the fall after it
+        up = d[pos]
+        total = head + int(seg.sum())
+        kappa = 2 * int(up.sum()) - total
+        gap = np.subtract(seg, up, out=up)
+        # a - to + change is a positive after a fall; the first one's fall is the head
+        changes = (head < 0) + int(np.count_nonzero(gap[:-1]))
+        walk = np.cumsum(seg, out=seg)      # tau just before each next positive
+        return (kappa, total, head + min(0, int(walk.min())), changes,
+                -1 if head < 0 else 1, -1 if gap[-1] < 0 else 1)
+    nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
+    neg = np.less(nz, 0, out=mask[:nz.size])
+    # a - to + change is a negative followed by a positive: True > False
+    changes = int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
+    kappa = int(np.abs(nz).sum())
+    walk = np.cumsum(nz, out=nz)
+    return (kappa, int(walk[-1]), min(0, int(walk.min())), changes,
+            -1 if neg[0] else 1, -1 if neg[-1] else 1)
+
+
+def _period(t: SeifertTuple) -> int:
+    """b = P/p, the period of delta on each block of p = the largest
+    multiplicity, when the walk reads t block by block, else 0.  The rule
+    is p > _CHUNK, so there are fewer blocks than chunks, p >= 4b, so at
+    most a quarter of the entries are evaluated, and b <= _PERIOD, so the
+    other fibers make one group, of period b, and one table when it is
+    built (see walk_statistics and _plan)."""
+    p = t.multiplicities[-1]
+    b = t.product // p
+    return b if p > _CHUNK and 4 * b <= p and b <= _PERIOD else 0
+
+
+def _block_entries(half: int, p: int, b: int) -> int:
+    """The delta entries a walk by blocks evaluates: b in each block of the
+    half, fewer in a last block shorter than b."""
+    return half // p * b + min(b, half % p)
+
+
 def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     """Rank data of the tau walk over [0, N]; degenerate tuples give rank 0/1.
 
@@ -299,78 +401,90 @@ def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     - to + change in the half reappears mirrored in the second half, the
     junction of the halves is one more when the half's last nonzero delta
     is negative, and the final descent adds one: c = 2 c_half + [last < 0]
-    + 1.  delta is evaluated _CHUNK values at a time, carrying tau, its
-    minimum, the change count and the last nonzero sign from chunk to
-    chunk, so memory is flat in N.  Each chunk first counts its positives.
-    Between two positives tau only falls, so a chunk with none adds its
-    sum, and one at most 1/_SPARSE positive is read off its positives: the
-    sums before the first and from each positive to the next
-    (np.add.reduceat) give tau's minimum, kappa (twice the positives' sum
-    less the chunk's) and the changes (positives after a nonzero fall).
-    Any other chunk is compacted to its nonzeros (compress, about half the
-    cost of boolean indexing) and read off those.  The masks go into two
-    boolean buffers allocated once per walk, so a chunk allocates only
-    arrays of its positives' or its nonzeros' length (with compress's
-    index array); an int64 buffer held for the walk would sit beside them
-    and raise the walk's peak.  A fiber group whose period the half walks
-    past more than once is read from a table of its period (see _plan)
-    instead of being divided out on every chunk; a walk of one chunk
-    builds no table.  walk_counts(t) reports the walk's plan.
+    + 1.  delta is evaluated _CHUNK values at a time, each chunk is read
+    into a summary (_read), and the summaries are joined left to right, so
+    memory is flat in N.  The masks go into two boolean buffers allocated
+    once per walk; an int64 buffer held for the walk would sit beside a
+    chunk's arrays and raise the walk's peak.  A fiber group whose period
+    the half walks past more than once is read from a table of its period
+    (see _plan) instead of being divided out on every chunk; a walk of one
+    chunk builds no table.
+
+    The largest fiber gives a second path.  With p its multiplicity, p' its
+    invariant and b = P/p, the defining relation taken mod p gives
+    b p' = -1 (mod p), so a = (b p' + 1)/p is an integer and
+    a/b = p'/p + 1/(bp) is the Farey neighbour of p'/p: no fraction of
+    denominator below p + b lies strictly between them, so
+    ceil(m p'/p) = ceil(m a/b) for 0 <= m < p.  The other multiplicities
+    divide b, and the relation divided by p gives
+    |e0| b - sum_{i<l} b p_i'/p_i = a, so delta(n + b) = delta(n) whenever
+    n and n + b lie in one block [jp, (j+1)p).  A block of L entries of the
+    half is then r = L // b copies of its first b entries followed by their
+    first L mod b.  So the walk evaluates those b entries (all L when
+    r = 0), reads them as two summaries, the first L mod b and the rest,
+    and folds the r copies in closed form (_repeat); the blocks are joined
+    left to right like chunks.  One evaluator serves all the blocks, so a
+    table is built once per walk, when the entries evaluated pay for it.
+    The walk takes this path by a rule on the tuple alone (_period): then
+    it evaluates at most a quarter of the entries, in fewer blocks than the
+    chunk walk has chunks.  Every other tuple, including all of botany's
+    (p <= 6n + 6), is walked in chunks.  walk_counts(t) reports the walk's
+    plan.
     """
     if t.is_degenerate:
         return WalkStatistics(kappa=0, min_tau=0, c=0)
     half = _half(t)
     m = min(_CHUNK, half)
     mask, edge = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
-    kappa = tau = min_tau = changes = 0
-    negative = False            # the last nonzero delta so far is negative
-    for d in _delta_chunks(t._invariants, half):
-        rises = np.greater(d, 0, out=mask[:d.size])
-        k = int(np.count_nonzero(rises))
-        if not k:                           # tau only falls
-            fall = int(d.sum())
-            kappa -= fall
-            tau += fall
-            min_tau = min(min_tau, tau)
-            negative = negative or fall < 0
-        elif k * _SPARSE <= d.size:         # read off the positives
-            pos = np.flatnonzero(rises)
-            head = int(d[:pos[0]].sum())    # the fall before the first positive
-            seg = np.add.reduceat(d, pos)   # each positive and the fall after it
-            up = d[pos]
-            total = head + int(seg.sum())
-            kappa += 2 * int(up.sum()) - total
-            gap = np.subtract(seg, up, out=up)
-            # a - to + change is a positive after a fall; the first one
-            # falls from the head, or from the carried sign when head is 0
-            changes += (head < 0 or negative) + int(np.count_nonzero(gap[:-1]))
-            negative = bool(gap[-1] < 0)
-            walk = np.cumsum(seg, out=seg)  # tau just before each next positive
-            min_tau = min(min_tau, tau + head + min(0, int(walk.min())))
-            tau += total
-        else:                               # compact to the nonzeros
-            nz = d.compress(np.not_equal(d, 0, out=mask[:d.size]))
-            neg = np.less(nz, 0, out=mask[:nz.size])
-            # a - to + change is a negative followed by a positive: True > False
-            changes += negative and not neg[0]
-            changes += int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
-            negative = bool(neg[-1])
-            kappa += int(np.abs(nz).sum())
-            walk = np.cumsum(nz, out=nz)
-            min_tau = min(min_tau, tau + int(walk.min()))
-            tau += int(walk[-1])
-    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + negative + 1)
+    inv = t._invariants
+    walk = _EMPTY
+    b = _period(t)
+    if b:
+        p = t.multiplicities[-1]
+        blocks = range(0, half, p)
+        chunks = _delta_chunks(inv, ((s, min(s + b, half)) for s in blocks),
+                               _block_entries(half, p, b))
+        for start in blocks:
+            r, cut = divmod(min(p, half - start), b)
+            # a period's first cut entries (the block's remainder), and the rest
+            head = rest = _EMPTY
+            for d in islice(chunks, -(-min(b, half - start) // _CHUNK)):
+                k = min(cut, d.size)
+                if k:
+                    head = _join(head, _read(d[:k], mask, edge))
+                if k < d.size:
+                    rest = _join(rest, _read(d[k:], mask, edge))
+                cut -= k
+            walk = _join(walk, _join(_repeat(_join(head, rest), r), head))
+    else:
+        for d in _delta_chunks(inv, [(0, half)], half):
+            walk = _join(walk, _read(d, mask, edge))
+    kappa, _, min_tau, changes, _, last = walk
+    return WalkStatistics(kappa=kappa, min_tau=min_tau, c=2 * changes + (last < 0) + 1)
 
 
 def walk_counts(t: SeifertTuple) -> dict:
-    """walk_statistics(t)'s plan, as rank --stats writes it (see _plan);
-    five zeros for a degenerate tuple, which is not walked."""
+    """walk_statistics(t)'s plan, as rank --stats writes it (see _plan):
+    the delta entries evaluated, the chunks they came in, the fibers
+    tabulated and divided and the table entries, and for a walk by blocks
+    also the blocks and the period b; five zeros for a degenerate tuple,
+    which is not walked."""
     half = 0 if t.is_degenerate else _half(t)
-    tabulated, divided = _plan(t._invariants.pairs if half else (), half)
-    return {"delta_entries": half, "chunks": -(-half // _CHUNK),
-            "fibers_tabulated": sum(len(group) for _, group in tabulated),
-            "fibers_divided": len(divided),
-            "table_entries": sum(period + _CHUNK for period, _ in tabulated)}
+    b = _period(t) if half else 0
+    entries, chunks = half, -(-half // _CHUNK)
+    if b:
+        p = t.multiplicities[-1]
+        full, tail = divmod(half, p)
+        entries = _block_entries(half, p, b)
+        chunks = full * -(-b // _CHUNK) + -(-min(b, tail) // _CHUNK)
+    tabulated, divided = _plan(t._invariants.pairs if half else (), entries)
+    counts = {"delta_entries": entries, "chunks": chunks,
+              "fibers_tabulated": sum(len(group) for _, group in tabulated),
+              "fibers_divided": len(divided),
+              "table_entries": sum(period + _CHUNK for period, _ in tabulated)}
+    if b:
+        counts.update(blocks=-(-half // p), period=b)
+    return counts
 
 
 def rank_pair(t: SeifertTuple) -> tuple:

@@ -21,13 +21,24 @@ def test_public_api():
         assert not hasattr(floerrank, name) and not hasattr(seifert, name), name
 
 
-def test_import_loads_no_xml_or_url_modules():
-    # xml.sax.saxutils pulls in urllib.request, http.client and email
-    code = ("import sys, floerrank, floerrank.cli; "
-            "print(sorted(m for m in ('xml.sax', 'urllib.request') if m in sys.modules))")
+def _loaded_after(imports: str, modules: tuple) -> list:
+    """The modules, of those named, that a fresh interpreter has loaded after
+    the imports, as it prints the sorted list."""
+    code = f"import sys, {imports}; print(sorted(m for m in {modules!r} if m in sys.modules))"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).parents[1] / "src")] + env.get("PYTHONPATH", "").split(os.pathsep))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert proc.stdout == "[]\n", proc.stdout
+    return proc.stdout
+
+
+def test_import_loads_no_xml_or_url_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email
+    assert _loaded_after("floerrank, floerrank.cli", ("xml.sax", "urllib.request")) == "[]\n"
+
+
+def test_import_loads_no_json_or_fractions():
+    # the JSON writers and the CLI import json, and euler_number imports
+    # fractions (which loads decimal), where they use them
+    assert _loaded_after("floerrank", ("json", "fractions", "decimal")) == "[]\n"

@@ -75,6 +75,16 @@ def test_rank_large_cutoff_bounded_memory(capsys):
     assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_rank_json_on_a_brieskorn_family_member(capsys):
+    # (2,3,6k+5) has rank_red k: at k = 10^8 the walk reads one block of
+    # the largest fiber, six entries, not the half's 3*10^8
+    code, out, _ = run(capsys, "rank", "2", "3", "600000005", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert (data["rank_red"], data["rank_hat"], data["n_cutoff"]) == \
+        (100_000_000, 200_000_001, 599_999_999)
+
+
 def test_rank_invalid_tuple(capsys):
     code, _, err = run(capsys, "rank", "2", "4", "6")
     assert code == 2
@@ -208,8 +218,10 @@ def test_botany_stats_leaves_stdout_unchanged(capsys):
 
 
 def test_rank_stats_leaves_stdout_unchanged(capsys):
-    # (fibers tabulated, fibers divided) of each walk
-    cases = {("2", "3", "7"): (0, 3), ("2", "3", "5", "344827", "--csv"): (3, 1),
+    # (fibers tabulated, fibers divided) of each walk; (2,3,5,344827) is
+    # walked in 15 blocks of its largest fiber, evaluating one period of 30
+    # entries in each
+    cases = {("2", "3", "7"): (0, 3), ("2", "3", "5", "344827", "--csv"): (0, 4),
              ("2", "3", "5", "7", "11", "13", "17", "--json"): (7, 0),
              ("2", "3", "5"): (0, 0)}
     for argv, split in cases.items():
@@ -218,13 +230,18 @@ def test_rank_stats_leaves_stdout_unchanged(capsys):
         assert plain == (0, out, "") and code == 0, argv
         assert len(err.splitlines()) == 1, argv
         stats = json.loads(err)
+        blocks = {"blocks": 15, "period": 30} if "344827" in argv else {}
         assert list(stats) == ["delta_entries", "chunks", "fibers_tabulated",
-                               "fibers_divided", "table_entries"], argv
+                               "fibers_divided", "table_entries", *blocks], argv
+        assert {key: stats[key] for key in blocks} == blocks, argv
         assert (stats["fibers_tabulated"], stats["fibers_divided"]) == split, argv
         t = seifert.make_tuple([int(a) for a in argv if a.isdigit()])
         half = (seifert.n_cutoff(t) + 1) // 2 if split != (0, 0) else 0
-        assert stats["delta_entries"] == half, argv
-        assert stats["chunks"] == -(-half // seifert._CHUNK), argv
+        if blocks:
+            assert (stats["delta_entries"], stats["chunks"]) == (15 * 30, 15), argv
+        else:
+            assert stats["delta_entries"] == half, argv
+            assert stats["chunks"] == -(-half // seifert._CHUNK), argv
         assert (stats["table_entries"] > 0) == (split[0] > 0), argv
 
 

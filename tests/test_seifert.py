@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from floerrank import deltaseq, seifert
+from floerrank import botany, deltaseq, seifert
 from floerrank.errors import DegenerateTupleError, NonPositiveEntryError, NotCoprimeError
 
 from conftest import random_tuple
@@ -278,6 +278,202 @@ def test_walk_kernel_large_records(ms, kappa, min_tau, c):
     got = seifert.walk_statistics(t)
     assert (got.kappa, got.min_tau, got.c) == (kappa, min_tau, c)
     assert chunked_walk(t) == (kappa, min_tau, c)
+
+
+def _largest_fiber_tuples(rng, count, lengths, max_b, spread):
+    """count tuples whose largest multiplicity p exceeds b = P/p: the others
+    are drawn from 2..13 with product b <= max_b, p from (b, spread * b]."""
+    out = []
+    while len(out) < count:
+        small, length = [], rng.choice(lengths)
+        for q in rng.sample(range(2, 14), 12):
+            if all(math.gcd(q, k) == 1 for k in small) and math.prod(small) * q <= max_b:
+                small.append(q)
+                if len(small) == length - 1:
+                    break
+        b = math.prod(small)
+        p = rng.randint(b + 1, spread * b)
+        if len(small) == length - 1 and all(math.gcd(p, q) == 1 for q in small):
+            out.append(seifert.make_tuple(small + [p]))
+    return out
+
+
+def _walk_by(t, blocks: bool):
+    """walk_statistics(t) by blocks of its largest fiber, or by chunks,
+    whatever the rule would choose; the block walk is correct on every
+    tuple, but it saves work only where the rule sends it."""
+    period = t.product // t.multiplicities[-1] if blocks else 0
+    with patch.object(seifert, "_period", lambda t: period):
+        return seifert.walk_statistics(t)
+
+
+def test_largest_fiber_identity():
+    # b p' = -1 (mod p), so a/b = p'/p + 1/(bp) with a = (b p' + 1)/p, and
+    # ceil(m p'/p) = ceil(m a/b) for m < p: delta is b-periodic on each
+    # block [jp, (j+1)p)
+    rng = random.Random(44)
+    corpus = [random_tuple(rng, lengths=(3, 4, 5, 6), max_product=2 * 10**5) for _ in range(150)]
+    corpus += _largest_fiber_tuples(rng, 150, (3, 4, 5), 420, 8)
+    periodic = 0
+    for t in corpus:
+        pp, p = seifert.normalized_invariants(t).pairs[-1]
+        b = t.product // p
+        assert (b * pp + 1) % p == 0, t
+        a = (b * pp + 1) // p
+        m = np.arange(p, dtype=np.int64)
+        assert np.array_equal(-(-m * pp // p), -(-m * a // b)), t
+        N = seifert.n_cutoff(t)
+        D = seifert.delta_array(t, N)
+        n = np.arange(max(N + 1 - b, 0))
+        same = n // p == (n + b) // p
+        assert np.array_equal(D[n + b][same], D[n][same]), t
+        periodic += bool(same.any())
+    assert periodic > 150
+
+
+@pytest.mark.parametrize("chunk, max_b", [(1, 42), (7, 105), (64, 210)])
+def test_block_walk_matches_oracles(monkeypatch, chunk, max_b):
+    # the walk by blocks against the dense views and the chunk walk, on
+    # 1,000 seeded tuples with p > b at each chunk (3,000 in all), its
+    # periods split across chunks and its remainders cut inside one; a
+    # tuple the rule sends to the block walk is walked by walk_statistics
+    rng = random.Random(45 + chunk)
+    corpus = _largest_fiber_tuples(rng, 1000, (3, 3, 3, 4, 4, 5), max_b, 6)
+    seen, fired = set(), 0
+    for t in corpus:
+        want = dense_walk(t)
+        by_chunks = _walk_by(t, blocks=False)
+        assert (by_chunks.kappa, by_chunks.min_tau, by_chunks.c) == \
+            (want.kappa, want.min_tau, want.c), t
+        N = seifert.n_cutoff(t)
+        half, p = (N + 1) // 2, t.multiplicities[-1]
+        b = t.product // p
+        D = seifert.delta_array(t, N)[:half]
+        with monkeypatch.context() as patched:
+            # _PERIOD at max_b keeps p out of the other fibers' group, as
+            # in a tuple too large for this corpus, so that group is read
+            # from its table when the blocks revisit its period
+            patched.setattr(seifert, "_CHUNK", chunk)
+            patched.setattr(seifert, "_PERIOD", max_b)
+            if seifert._period(t):
+                fired += 1
+                got = seifert.walk_statistics(t)
+                if seifert.walk_counts(t)["fibers_tabulated"]:
+                    seen.add("blocks read from tables")
+            else:
+                got = _walk_by(t, blocks=True)
+        assert got == by_chunks, t
+        if t.is_degenerate:
+            continue
+        if half < b:
+            seen.add("half < b")
+        seen.add("single block" if half <= p else "several blocks")
+        if half > p and half % p:
+            seen.add("final partial block")
+        for start in range(0, half, p):
+            r = min(p, half - start) // b
+            nz = D[start:start + b][D[start:start + b] != 0]
+            if not r:
+                seen.add("r = 0")
+            if not nz.size:
+                seen.add("period with no nonzero")
+            elif r >= 2 and nz[-1] < 0 < nz[0]:
+                seen.add("seam change")
+            if r and b > chunk:
+                seen.add("period split across chunks")
+            if r and min(p, half - start) % b % chunk:
+                seen.add("remainder cut inside a chunk")
+    want = {"half < b", "single block", "several blocks", "final partial block", "r = 0",
+            "period with no nonzero", "seam change", "blocks read from tables"}
+    if chunk > 1:
+        want.add("remainder cut inside a chunk")
+    if chunk < 64:
+        want.add("period split across chunks")
+    assert want <= seen, want - seen
+    assert fired >= 300
+
+
+def test_block_walk_six_fibers():
+    # p = 16391 > _CHUNK and p >= 4b, b = 2310: 3,157 blocks, 7.3M of the
+    # half's 51.7M entries evaluated, every fiber read from a table
+    t = seifert.make_tuple([2, 3, 5, 7, 11, 16391])
+    assert seifert._period(t) == 2310
+    got = seifert.walk_statistics(t)
+    assert got == _walk_by(t, blocks=False)
+    assert got.rank_red > 0
+    counts = seifert.walk_counts(t)
+    assert (counts["blocks"], counts["delta_entries"], counts["fibers_tabulated"]) == \
+        (3157, 7292670, 6)
+
+
+def test_block_walk_counts_what_it_evaluates(monkeypatch):
+    # walk_counts reports the blocks, the period b, and the entries,
+    # chunks and tables the walk by blocks evaluated and built: a table
+    # pays once the walk evaluates more than its period plus a chunk
+    calls = _record_ceilings(monkeypatch)
+    cases = {(2, 3, 5, 344827): (None, (1896541, -1206888, 678159)),
+             (2, 3, 97): (7, None), (2, 5, 83): (7, None), (3, 4, 5, 241): (7, None),
+             (2, 3, 5, 7, 853): (7, None)}
+    tabulated = 0
+    for ms, (chunk, record) in cases.items():
+        t = seifert.make_tuple(ms)
+        with monkeypatch.context() as patched:
+            if chunk:
+                patched.setattr(seifert, "_CHUNK", chunk)
+            calls.clear()
+            stats = seifert.walk_statistics(t)
+            counts = seifert.walk_counts(t)
+            size = seifert._CHUNK
+        if record is None:
+            want = dense_walk(t)
+            record = (want.kappa, want.min_tau, want.c)
+        assert (stats.kappa, stats.min_tau, stats.c) == record, ms
+        half, p = (seifert.n_cutoff(t) + 1) // 2, ms[-1]
+        assert (counts["blocks"], counts["period"]) == (-(-half // p), t.product // p), ms
+        built = [(n, fibers) for n, fibers in calls if n > size]
+        read = [(n, fibers) for n, fibers in calls if n <= size]
+        assert counts["delta_entries"] == sum(n for n, _ in read), ms
+        assert counts["chunks"] == len(read), ms
+        assert {fibers for _, fibers in read} == {counts["fibers_divided"]}, ms
+        assert counts["fibers_tabulated"] == sum(f for _, f in built), ms
+        assert counts["table_entries"] == sum(n for n, _ in built), ms
+        assert counts["fibers_tabulated"] + counts["fibers_divided"] == len(ms), ms
+        tabulated += counts["fibers_tabulated"]
+    assert list(counts) == ["delta_entries", "chunks", "fibers_tabulated", "fibers_divided",
+                            "table_entries", "blocks", "period"]
+    assert seifert.walk_counts(seifert.make_tuple([2, 3, 5, 344827]))["fibers_divided"] == 4
+    assert tabulated > 0
+
+
+def test_rule_sends_botany_and_the_benchmark_records_to_the_chunk_walk():
+    # the walk by blocks needs p > _CHUNK, p >= 4b and b <= _PERIOD
+    records = [(2, 3, 5, 7, 11, 13, 17, 19), (2, 3, 5, 7, 11, 13, 17), (2, 3, 5, 7, 11, 163)]
+    for ms in records:
+        t = seifert.make_tuple(ms)
+        assert seifert._period(t) == 0 and "blocks" not in seifert.walk_counts(t), ms
+    assert not any(seifert._period(seifert.make_tuple(ms)) for ms in botany.candidates(12))
+    # each condition on its own: p <= _CHUNK, p < 4b, b > _PERIOD
+    edge = {(2, 3, 16411): 6, (2, 3, 16381): 0, (4, 1023, 16385): 4092,
+            (4, 1025, 16387): 0, (2, 3, 5, 7, 11, 13, 131101): 30030,
+            (2, 3, 5, 7, 11, 13, 17, 2042041): 0}
+    for ms, period in edge.items():
+        assert seifert._period(seifert.make_tuple(ms)) == period, ms
+
+
+@pytest.mark.parametrize("offset", [5, 7])
+def test_brieskorn_families(offset):
+    # (2,3,6k+5) has rank_red k and (2,3,6k+7) rank_red k + 1, with
+    # rank_hat 2 rank_red + 1 and N = p - 6, by either walk; at k = 10^8
+    # the walk by blocks evaluates six entries
+    for k in (1, 2, 3, 10, 97, 2731, 2732, 10**5, 10**8):
+        t = seifert.make_tuple([2, 3, 6 * k + offset])
+        stats = seifert.walk_statistics(t)
+        red = k if offset == 5 else k + 1
+        assert (stats.rank_red, stats.rank_hat, seifert.n_cutoff(t)) == \
+            (red, 2 * red + 1, 6 * k + offset - 6), k
+        if k < 10**5:
+            assert _walk_by(t, blocks=True) == _walk_by(t, blocks=False) == stats, k
+    assert seifert.walk_counts(t)["delta_entries"] == 6
 
 
 def test_walk_statistics_degenerate():

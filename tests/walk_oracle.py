@@ -91,7 +91,8 @@ def chunked_walk(t: SeifertTuple) -> tuple:
         return 0, 0, 0
     N = seifert.n_cutoff(t)
     kappa = tau = min_tau = changes = last = 0
-    for d in seifert._delta_chunks(seifert.normalized_invariants(t), (N + 1) // 2):
+    half = (N + 1) // 2
+    for d in seifert._delta_chunks(seifert.normalized_invariants(t), [(0, half)], half):
         kappa += int(np.abs(d).sum())
         walk = np.cumsum(d)
         min_tau = min(min_tau, tau + int(walk.min()))
