@@ -25,7 +25,9 @@ each positive-defect index, in source order).
 The three concrete families: the degree-n covering maps z -> n z + k P/p_l,
 the normal-form comparison map between componentwise-comparable tuples, and
 the pinch map driven by the order bijection of a two-generator numerical
-semigroup, each placing its negative positions' images by reflection.
+semigroup, each placing its negative positions' images by reflection.  The
+covering maps are the witness API and the test oracle of
+branched_cover_identity, which checks them by evaluation, with no sequence.
 """
 
 from functools import wraps
@@ -272,16 +274,9 @@ def fix_defects(m: DeltaMorphism, theta):
 # -- branched covers along a singular fiber ---------------------------------
 
 
-def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
-                              fiber: int = None) -> list:
-    """The n disjoint value-preserving embeddings into the n-fold cover.
-
-    The cover multiplies the designated multiplicity (the largest one by
-    default) by n; the k-th map is z -> n z + k (P / fiber) for k = 0..n-1.
-    The degree must be coprime to every other multiplicity.  As the cover's
-    cutoff is n N + (n - 1) P / fiber, map k sends N - x to the reflection of
-    map n - 1 - k's image of x: one search places all n maps.
-    """
+def _branched_cover(t: seifert.SeifertTuple, n: int, fiber):
+    """(the n-fold cover along fiber, by default the largest, and the shift
+    P / fiber), once the degree, source, fiber and coprimality are checked."""
     if n < 1:
         raise ValueError(f"covering degree must be >= 1, got {n}")
     if t.is_degenerate:
@@ -293,12 +288,48 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     others = tuple(p for p in t.multiplicities if p != fiber)
     if any(gcd(n, p) != 1 for p in others):
         raise NotCoprimeError(f"degree {n} shares a factor with {others}")
-    cover = seifert.make_tuple(others + (n * fiber,))
+    return seifert.make_tuple(others + (n * fiber,)), t.product // fiber
+
+
+def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
+                              fiber: int = None) -> list:
+    """The n disjoint value-preserving embeddings into the n-fold cover.
+
+    The cover multiplies the designated multiplicity (the largest one by
+    default) by n; the k-th map is z -> n z + k (P / fiber) for k = 0..n-1.
+    The degree must be coprime to every other multiplicity.  As the cover's
+    cutoff is n N + (n - 1) P / fiber, map k sends N - x to the reflection of
+    map n - 1 - k's image of x: one search places all n maps.
+    """
+    cover, shift = _branched_cover(t, n, fiber)
     target = from_seifert(cover)
     source = from_seifert(t)
-    shift = t.product // fiber
     images = n * source.positive_positions + shift * np.arange(n)[:, None]
     return [DeltaMorphism(source, target, row) for row in _reflected(source, target, images)]
+
+
+def branched_cover_identity(t: seifert.SeifertTuple, n: int, fiber: int = None,
+                            maps: int = None) -> tuple:
+    """(cover, whether delta_cover(n z + k s) = delta(z)), s = P / fiber.
+
+    The cover and its errors are branched_cover_embeddings', and its cutoff
+    must be n N + (n - 1) s.  The first maps maps are read on [0, N], all n
+    by default on z <= N/2 (map k at N - z reflects map n - 1 - k at z),
+    after the cover's int64 guard, in blocks of at most _CHUNK (k, z) pairs."""
+    cover, s = _branched_cover(t, n, fiber)
+    N = seifert.n_cutoff(t)
+    if seifert.n_cutoff(cover) != n * N + (n - 1) * s:
+        return cover, False
+    maps, upto = (n, N // 2) if maps is None else (maps, N)
+    width = max(1, seifert._CHUNK // maps)
+    for z0 in range(0, upto + 1, width):
+        z = np.arange(z0, min(z0 + width, upto + 1), dtype=np.int64)
+        want = seifert.delta_values(t, z)
+        for k0 in range(0, maps, seifert._CHUNK):
+            k = np.arange(k0, min(k0 + seifert._CHUNK, maps), dtype=np.int64)[:, None]
+            if not (seifert.delta_values(cover, n * z + s * k) == want).all():
+                return cover, False
+    return cover, True
 
 
 # -- the normal-form comparison map ------------------------------------------

@@ -18,6 +18,13 @@ formulas.
 rigid_extend is the dict front end of the library's rigid extension, which
 the pinch map is built with; the tests drive that extension through it.
 
+assert_cover_identity_matches is the oracle of the branched-cover
+verifiers: branched_cover_embeddings builds the n maps between the two
+sequences, and each must send every source position z to n z + k P/fiber,
+be an embedding and preserve values, while the verifiers, which check the
+affine identity by evaluation and build no sequence, must hold with the
+ranks of those sequences.
+
 fix_defects_oracle is the defect repair with its own two-part split: it
 inserts each second part with np.insert and moves every old index past the
 splits before it by a search; the library refines through
@@ -29,7 +36,7 @@ from math import prod
 
 import numpy as np
 
-from floerrank import morphism, seifert
+from floerrank import morphism, seifert, verify
 from floerrank.deltaseq import DeltaSequence, from_seifert
 from floerrank.errors import FirstElementNegativeError, NotRigidError, NotSemiImmersionError
 
@@ -299,3 +306,20 @@ def fix_defects_oracle(m, theta):
     new_index[_after_split(b, np.arange(len(source)))] = _after_split(g, index)
     new_index[_after_split(b, b) + 1] = _after_split(g, g) + 1
     return new_source, new_target, new_index
+
+
+def assert_cover_identity_matches(t, n: int, fiber: int = None, maps=None):
+    """The branched-cover verifiers on (t, n, fiber) against the embedding
+    witness (maps, when the caller has built it)."""
+    maps = maps or morphism.branched_cover_embeddings(t, n, fiber)
+    shift = t.product // (fiber or t.multiplicities[-1])
+    for k, m in enumerate(maps):
+        assert m.is_embedding() and m.preserves_values(), (t, n, fiber, k)
+        assert np.array_equal(m.mapping, n * m.source.positions + k * shift), (t, n, fiber, k)
+    ranks = {label: {"red": stats.rank_red, "hat": stats.rank_hat} for label, stats
+             in (("source", maps[0].source.rank()), ("cover", maps[0].target.rank()))}
+    reports = [verify.verify_branched(t, n, fiber)]
+    if fiber in (None, t.multiplicities[-1]):
+        reports.append(verify.verify_branched_hat(t, n))
+    for report in reports:
+        assert report.verdict == "holds" and report.ranks == ranks, (t, n, fiber, report.checks)

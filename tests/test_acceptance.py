@@ -25,6 +25,7 @@ from floerrank.gradedroot import GradedRoot
 
 import root_oracle
 from conftest import random_delta_values, random_tuple
+from morphism_oracle import assert_cover_identity_matches
 from semigroup_oracle import membership_k_array, semigroup_sieve, two_generator
 from walk_oracle import assert_matches_oracle
 
@@ -158,6 +159,7 @@ def test_criterion_05_morphism_witness_suite():
         assert all(not (images[i] & images[j])
                    for i in range(n) for j in range(i + 1, n)), (t, n)
         assert n * seifert.rank_pair(t)[0] <= seifert.rank_pair(cover)[0], (t, n)
+        assert_cover_identity_matches(t, n, maps=maps)
 
     for t, t2 in _random_comparable_pairs(rng, 200):
         m = morphism.partial_order_immersion(t, t2)

@@ -256,14 +256,28 @@ def test_stats_lines_match_golden(capsys):
 
 
 def test_dense_sequence_refused_under_memory_cap():
-    # N = 44,080,457 and 35,431,817: the sequences would need gigabytes, so
-    # both commands refuse before allocating, even under a 1.5 GB cap
-    for argv in (["root", "2", "3", "5", "7", "11", "13", "17", "19"],
-                 ["verify", "branched", "2", "3", "5", "7", "11", "13", "17", "--n", "19"]):
-        proc = run_capped("-m", "floerrank.cli", *argv)
-        assert proc.returncode == 2 and proc.stdout == "", argv
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
-        assert proc.stderr.startswith("error: delta sequence of ("), proc.stderr
+    # N = 44,080,457: the sequence would need gigabytes, so the command
+    # refuses before allocating, even under a 1.5 GB cap
+    proc = run_capped("-m", "floerrank.cli", "root", "2", "3", "5", "7", "11", "13", "17", "19")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: delta sequence of ("), proc.stderr
+
+
+def test_large_covers_verified_under_memory_cap():
+    # covers past the sequences' MAX_CUTOFF answer in flat memory: the cover
+    # (2,3,5,7,11,13,323) spans N = 35,431,817, and (2,3,700000049) is
+    # reached by 10^8 maps of one source point each, in bounded blocks
+    for argv, source, cover in (
+            (["2", "3", "5", "7", "11", "13", "17", "--n", "19"],
+             {"red": 97013, "hat": 162241}, {"red": 1844672, "hat": 3251287}),
+            (["2", "3", "7", "--n", "100000007"],
+             {"red": 1, "hat": 3}, {"red": 116666674, "hat": 233333349})):
+        proc = run_capped("-m", "floerrank.cli", "verify", "branched", *argv)
+        assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "holds", argv
+        assert report["ranks"] == {"source": source, "cover": cover}, argv
 
 
 def test_wide_ascii_drawing_refused_under_memory_cap():
@@ -279,9 +293,9 @@ def test_wide_ascii_drawing_refused_under_memory_cap():
 
 
 def test_oversize_verifier_input_refused_before_any_work(capsys, monkeypatch):
-    # the cover (2,3,5,7,11,13,323) spans N = 35,431,817: the witness builds
-    # the cover's sequence first and refuses it before any rank walk and
-    # before the source sequence (N = 1,836,383) is built
+    # the cover (2,3,5,7,11,13,17,19000057) has delta past the int64 range on
+    # [0, N]: refused at the cover's guard, before any rank walk and with no
+    # sequence built
     calls = {"walk_statistics": 0, "from_seifert": 0}
     package = [mod for name, mod in sys.modules.items()
                if name == "floerrank" or name.startswith("floerrank.")]
@@ -297,10 +311,11 @@ def test_oversize_verifier_input_refused_before_any_work(capsys, monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     code, out, err = run(capsys, "verify", "branched", "2", "3", "5", "7", "11", "13", "17",
-                         "--n", "19")
+                         "19", "--n", "1000003")
     assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error: delta sequence of ("), err
-    assert calls == {"walk_statistics": 0, "from_seifert": 1}
+    assert len(err.splitlines()) == 1 and err.startswith("error: value "), err
+    assert err.endswith(" exceeds signed 64-bit range\n"), err
+    assert calls == {"walk_statistics": 0, "from_seifert": 0}
 
 
 def test_verify_pinch_cli(capsys):

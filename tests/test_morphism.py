@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from floerrank import morphism, seifert
+from floerrank import morphism, seifert, verify
 from floerrank.deltaseq import DeltaSequence, from_seifert, from_values
 from floerrank.errors import (
     DegenerateTupleError,
@@ -21,6 +21,7 @@ from floerrank.morphism import (
     DeltaMorphism,
     TwoGenSemigroup,
     branched_cover_embeddings,
+    branched_cover_identity,
     embed_to_subsequence,
     fix_defects,
     is_control_function,
@@ -375,6 +376,52 @@ def test_branched_cover_disjoint_images(rng):
         for i in range(len(images)):
             for j in range(i + 1, len(images)):
                 assert not (images[i] & images[j])
+
+
+@pytest.mark.parametrize("ms, n, fiber", [((2, 3, 7), 5, None), ((2, 3, 11), 5, None),
+                                         ((2, 3, 5, 7), 2, 2), ((3, 4, 5, 7), 11, 5)])
+def test_cover_identity_reads_every_image(monkeypatch, ms, n, fiber):
+    # one wrong cover value at the image of z under map k fails the
+    # identity: every map is read on z <= N/2 (at 0 and at the middle here;
+    # the rest is their reflection), and the first map alone on all of
+    # [0, N], and no other map's image is read then
+    t = seifert.make_tuple(ms)
+    cover, holds = branched_cover_identity(t, n, fiber)
+    assert holds and branched_cover_identity(t, n, fiber, maps=1)[1]
+    shift, N = t.product // (fiber or ms[-1]), seifert.n_cutoff(t)
+    original = seifert.delta_values
+    for z in sorted({0, N // 2, N - N // 2, N}):
+        for k in range(n):
+            def corrupted(u, x, wrong=n * z + k * shift):
+                return original(u, x) + ((x == wrong) if u == cover else 0)
+
+            monkeypatch.setattr(seifert, "delta_values", corrupted)
+            if z <= N // 2:
+                assert not branched_cover_identity(t, n, fiber)[1], (z, k)
+            assert branched_cover_identity(t, n, fiber, maps=1)[1] == (k > 0), (z, k)
+
+
+@pytest.mark.parametrize("ms, n, fiber, error, message", [
+    ((2, 3, 7), 0, None, ValueError, "covering degree must be >= 1, got 0"),
+    ((2, 3, 5), 7, None, DegenerateTupleError, "(2,3,5) has no delta sequence"),
+    ((2, 3, 7), 5, 4, ValueError, "4 is not a multiplicity of (2,3,7)"),
+    ((2, 3, 7), 6, None, NotCoprimeError, "degree 6 shares a factor with (2, 3)"),
+    ((2, 3, 5, 7), 3, 2, NotCoprimeError, "degree 3 shares a factor with (3, 5, 7)"),
+])
+def test_cover_witnesses_share_their_errors(ms, n, fiber, error, message):
+    # the embedding witness, the identity and the verifier (which answers a
+    # degenerate source itself) refuse alike
+    t = seifert.make_tuple(ms)
+    calls = [lambda: branched_cover_embeddings(t, n, fiber),
+             lambda: branched_cover_identity(t, n, fiber)]
+    if not t.is_degenerate:
+        calls.append(lambda: verify.verify_branched(t, n, fiber))
+        if fiber is None:
+            calls.append(lambda: verify.verify_branched_hat(t, n))
+    for call in calls:
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_partial_order_immersion_examples():

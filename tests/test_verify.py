@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from floerrank.gradedroot import GradedRoot
 from floerrank.verify import DegreeMove
 
 from conftest import random_tuple
+from morphism_oracle import assert_cover_identity_matches
 
 
 def T(*ms):
@@ -143,6 +145,33 @@ def test_verify_degree_map_fully_unwound_fiber():
     assert report.ranks["degree"] == 11
 
 
+def test_branched_verifiers_match_embedding_oracle():
+    # a seeded corpus of 3 to 6 fibers: the designated fiber is drawn from
+    # all of them, and n = 1 and a non-largest fiber are forced in
+    rng = random.Random(26)
+    seen = set()
+    for i in range(40):
+        t = random_tuple(rng, lengths=(3 + i % 4,), max_entry=30, max_product=10**5)
+        fiber = rng.choice(t.multiplicities[:-1] if i % 4 == 0 else t.multiplicities)
+        others = [p for p in t.multiplicities if p != fiber]
+        degrees = [k for k in range(2, 30) if all(math.gcd(k, p) == 1 for p in others)
+                   and k * t.product <= 6 * 10**5]
+        n = 1 if i % 10 == 0 or not degrees else rng.choice(degrees)
+        assert_cover_identity_matches(t, n, fiber)
+        seen.add((t.fiber_count, n == 1, fiber == t.multiplicities[-1]))
+    assert {count for count, _, _ in seen} == {3, 4, 5, 6}
+    assert any(one for _, one, _ in seen) and not all(top for _, _, top in seen)
+
+
+def test_verify_branched_large_degree_family():
+    # (2,3,7) covered 1,000,003 times is (2,3,6k+7) at k = 1,166,669, of
+    # reduced rank k + 1; each of the maps carries the source's one point
+    report = verify.verify_branched(T(2, 3, 7), 1000003)
+    assert report.verdict == "holds"
+    assert report.ranks["source"]["red"] == 1
+    assert report.ranks["cover"]["red"] == 1166670
+
+
 def test_verify_branched_designated_fiber():
     report = verify.verify_branched(T(2, 3, 5, 7), 2, fiber=2)
     assert report.verdict == "holds"
@@ -187,9 +216,10 @@ def test_report_json_shape():
 def _labelled_tuples(report) -> dict:
     """The tuple behind each rank label of a report, rebuilt from its inputs."""
     ins = report.inputs
-    if report.statement == "branched cover rank inequality":
-        others = [p for p in ins["tuple"] if p != ins["fiber"]]
-        pairs = {"source": ins["tuple"], "cover": others + [ins["n"] * ins["fiber"]]}
+    if report.statement.startswith("branched cover"):
+        fiber = ins.get("fiber", max(ins["tuple"]))     # the hat verifier covers the largest
+        others = [p for p in ins["tuple"] if p != fiber]
+        pairs = {"source": ins["tuple"], "cover": others + [ins["n"] * fiber]}
     elif report.statement == "vertical pinch rank inequality":
         pairs = {"pinched": ins["base"] + [ins["q"] * ins["r"]],
                  "unpinched": ins["base"] + [ins["q"], ins["r"]]}
@@ -277,9 +307,11 @@ def test_each_witness_builds_each_delta_sequence_once(monkeypatch):
     calls.clear()
     assert verify.verify_monotone(T(2, 3, 7), T(2, 3, 13)).verdict == "holds"
     assert len(calls) == 2
+    # the branched verifiers check the cover identity and build no sequence
     calls.clear()
     assert verify.verify_branched(T(2, 3, 7), 5).verdict == "holds"
-    assert len(calls) == 2
+    assert verify.verify_branched_hat(T(2, 3, 11), 7).verdict == "holds"
+    assert calls == []
 
 
 def _count_walks(monkeypatch):
@@ -297,36 +329,38 @@ def _count_walks(monkeypatch):
 
 
 def test_verifiers_read_ranks_off_their_witnesses(monkeypatch):
+    # pinch and comparison ranks come off the witness sequences; the
+    # branched verifiers build none and walk source and cover in the kernel
     walked = _count_walks(monkeypatch)
-    reports = [verify.verify_branched(T(2, 3, 7), 5), verify.verify_pinch([2, 3], 5, 7),
-               verify.verify_monotone(T(2, 3, 7), T(2, 3, 13))]
-    hat = verify.verify_branched_hat(T(2, 3, 11), 7)
+    reports = [verify.verify_pinch([2, 3], 5, 7), verify.verify_monotone(T(2, 3, 7), T(2, 3, 13))]
     assert walked == []
+    reports += [verify.verify_branched(T(2, 3, 7), 5), verify.verify_branched_hat(T(2, 3, 11), 7)]
+    assert walked == [(2, 3, 7), (2, 3, 35), (2, 3, 11), (2, 3, 77)]
     monkeypatch.undo()
     for report in reports:
         assert report.verdict == "holds"
         _assert_ranks_match_oracles(report)
-    assert hat.verdict == "holds"
-    for label, ms in (("source", (2, 3, 11)), ("cover", (2, 3, 77))):
-        red, rank_hat = seifert.rank_pair(T(*ms))
-        assert hat.ranks[label] == {"red": red, "hat": rank_hat}
 
 
 # (start, moves, the tuples whose ranks are walked, whether the end is degenerate)
 DEGREE_CHAINS = [
     (T(2, 3, 5, 7), [DegreeMove("pinch", fibers=(5, 7))], [], False),
-    (T(2, 3, 35), [DegreeMove("branched_fiber", n=5, fibers=(35,))], [], False),
-    (T(2, 3, 7, 11), [DegreeMove("branched_regular", n=11)], [], False),
-    (T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))], [], False),
+    # a cover move walks its source and its cover in the kernel
+    (T(2, 3, 35), [DegreeMove("branched_fiber", n=5, fibers=(35,))],
+     [(2, 3, 7), (2, 3, 35)], False),
+    (T(2, 3, 7, 11), [DegreeMove("branched_regular", n=11)], [(2, 3, 7), (2, 3, 77)], False),
+    (T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))],
+     [(2, 3, 7), (2, 3, 77)], False),
     (T(3, 4, 5, 7, 11), [DegreeMove("pinch", fibers=(4, 11)),
-                         DegreeMove("branched_regular", n=5)], [], False),
+                         DegreeMove("branched_regular", n=5)], [(3, 7, 44), (3, 7, 220)], False),
     # no sub-report: the empty chain ranks its start (= end) once
     (T(2, 3, 7), [], [(2, 3, 7)], False),
     (T(2, 3, 5), [], [], True),
     # a degenerate end needs no walk; a first move that ends degenerate
     # leaves the start to be ranked afresh
     (T(2, 3, 55), [DegreeMove("branched_fiber", n=5, fibers=(55,)),
-                   DegreeMove("branched_fiber", n=11, fibers=(11,))], [], True),
+                   DegreeMove("branched_fiber", n=11, fibers=(11,))],
+     [(2, 3, 11), (2, 3, 55)], True),
     (T(2, 3, 7), [DegreeMove("branched_regular", n=7)], [(2, 3, 7)], True),
 ]
 
