@@ -176,10 +176,11 @@ class DeltaSequence:
 
     def merge(self, run) -> "DeltaSequence":
         """Replace a consecutive same-sign run of positions by their sum."""
-        idxs = np.sort(self.indices_of(list(run)))
+        run = list(run)
+        idxs = np.sort(self.indices_of(run))
+        if not run or not np.array_equal(idxs, np.arange(idxs[0], idxs[-1] + 1)):
+            raise NotConsecutiveError(f"positions {run} are not consecutive")
         i0, i1 = int(idxs[0]), int(idxs[-1])
-        if not np.array_equal(idxs, np.arange(i0, i1 + 1)):
-            raise NotConsecutiveError(f"positions {list(run)} are not consecutive")
         vals = self.values[i0:i1 + 1]
         if np.any((vals > 0) != (vals[0] > 0)):
             raise SignMismatchError(f"run values {vals.tolist()} are not of one sign")

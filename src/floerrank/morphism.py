@@ -27,7 +27,8 @@ the normal-form comparison map between componentwise-comparable tuples, and
 the pinch map driven by the order bijection of a two-generator numerical
 semigroup, each placing its negative positions' images by reflection.  The
 covering maps are the witness API and the test oracle of
-branched_cover_identity, which checks them by evaluation, with no sequence.
+branched_cover_identity, which checks the premises of their affine identity
+in integers, with no sequence.
 """
 
 from functools import wraps
@@ -308,28 +309,31 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     return [DeltaMorphism(source, target, row) for row in _reflected(source, target, images)]
 
 
-def branched_cover_identity(t: seifert.SeifertTuple, n: int, fiber: int = None,
-                            maps: int = None) -> tuple:
-    """(cover, whether delta_cover(n z + k s) = delta(z)), s = P / fiber.
-
-    The cover and its errors are branched_cover_embeddings', and its cutoff
-    must be n N + (n - 1) s.  The first maps maps are read on [0, N], all n
-    by default on z <= N/2 (map k at N - z reflects map n - 1 - k at z),
-    after the cover's int64 guard, in blocks of at most _CHUNK (k, z) pairs."""
+def branched_cover_identity(t: seifert.SeifertTuple, n: int,
+                            fiber: int = None) -> tuple:
+    """(cover, whether delta_cover(n z + k s) = delta(z) for all z >= 0 and
+    0 <= k < n), s = P / fiber: the cover and its errors are
+    branched_cover_embeddings', and its cutoff must be n N + (n - 1) s, its
+    multiplicities t's with fiber times n, and verify_branched's premises
+    (A)-(E) hold.  The cover's int64 guard runs before the premises, so a
+    cover too large to walk is refused before a verifier walks."""
     cover, s = _branched_cover(t, n, fiber)
-    N = seifert.n_cutoff(t)
-    if seifert.n_cutoff(cover) != n * N + (n - 1) * s:
+    f = t.product // s
+    if seifert.n_cutoff(cover) != n * seifert.n_cutoff(t) + (n - 1) * s:
         return cover, False
-    maps, upto = (n, N // 2) if maps is None else (maps, N)
-    width = max(1, seifert._CHUNK // maps)
-    for z0 in range(0, upto + 1, width):
-        z = np.arange(z0, min(z0 + width, upto + 1), dtype=np.int64)
-        want = seifert.delta_values(t, z)
-        for k0 in range(0, maps, seifert._CHUNK):
-            k = np.arange(k0, min(k0 + seifert._CHUNK, maps), dtype=np.int64)[:, None]
-            if not (seifert.delta_values(cover, n * z + s * k) == want).all():
-                return cover, False
-    return cover, True
+    seifert._half(cover)
+    inv, inv2 = seifert.normalized_invariants(t), seifert.normalized_invariants(cover)
+    source, image = ({p: pp for pp, p in i.pairs} for i in (inv, inv2))
+    f1, g2 = source.pop(f), image.pop(n * f, None)
+    if g2 is None or image.keys() != source.keys():
+        return cover, False
+    m = [divmod(n * image[p] - source[p], p) for p in source]     # (A)
+    u, u_rem = divmod(g2 - f1, f)                                   # (B)
+    j, j_rem = divmod(g2 * s + 1, n * f)                            # (C)
+    e, e2 = abs(inv.e0), abs(inv2.e0)
+    return cover, (not any(rem for _, rem in m) and not u_rem and not j_rem
+                   and n * e2 - sum(mi for mi, _ in m) - u == e                 # (D)
+                   and s * e2 - sum(s // p * pp for p, pp in image.items()) == j)  # (E)
 
 
 # -- the normal-form comparison map ------------------------------------------

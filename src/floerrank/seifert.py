@@ -284,15 +284,6 @@ def delta_array(t: SeifertTuple, upto: int) -> np.ndarray:
     return out
 
 
-def delta_values(t: SeifertTuple, x: np.ndarray) -> np.ndarray:
-    """delta at each entry of an int64 array x within [0, N], by the formula;
-    delta's guard over [0, N] runs first (kept once passed, as for a walk)."""
-    _half(t)
-    d = x * abs(t._invariants.e0) + 1
-    _subtract_ceilings(d, x, t._invariants.pairs, np.empty_like(d))
-    return d
-
-
 @dataclass(frozen=True)
 class WalkStatistics:
     """Rank data read off the tau walk of a tuple.

@@ -4,10 +4,10 @@ The pinch and partial-order verifiers construct their witness morphisms and
 validate every property the construction promises; the inequality itself is
 then a comparison of the two sides' ranks, read off the witness sequences
 (the source and target of a witness map).  The branched-cover verifiers
-check the cover maps' affine identity by evaluation, build no sequence and
-take both ranks from the kernel.  The degree-map verifier takes its start
-and end ranks from its sub-reports.  A "fails" verdict on a valid input would
-mean an implementation bug, never new mathematics.
+check the integer premises of the cover maps' affine identity, build no
+sequence and take both ranks from the kernel.  The degree-map verifier
+takes its start and end ranks from its sub-reports.  A "fails" verdict on
+a valid input would mean an implementation bug, never new mathematics.
 
 Degenerate inputs (S^3-like tuples and (2,3,5)) have reduced rank 0 and hat
 rank 1, so the inequalities hold trivially and no witness is built.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import morphism, seifert
-from .errors import IllegalMoveError, NotComparableError
+from .errors import DegenerateTupleError, IllegalMoveError, NotComparableError
 
 # scans of more candidate tuples are refused: a scan ranks every candidate and
 # compares every pair, so its time and its list of violations grow as the
@@ -58,11 +58,6 @@ def _ranks(stats: seifert.WalkStatistics, report: VerificationReport, label: str
     return stats.rank_red, stats.rank_hat
 
 
-def _require_degree(n: int):
-    if n < 1:
-        raise ValueError(f"covering degree must be >= 1, got {n}")
-
-
 def verify_branched(t: seifert.SeifertTuple, n: int,
                     fiber: int = None) -> VerificationReport:
     """n * rank(Y) <= rank(Y') for the n-fold cover along a designated fiber.
@@ -70,32 +65,36 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     The largest multiplicity f is covered unless another one is designated.
     With s = P/f, each map z -> n z + k s (k < n) has
     delta_cover(n z + k s) = delta(z) for all z >= 0.  Proof, with p_i the
-    other multiplicities (s = prod p_i) and p_i'', g'' the cover's invariants
-    for p_i and n f: the two defining relations give n p_i'' = p_i' (mod p_i)
-    and g'' s = -1 (mod n f), so g'' = f' (mod f) and j = (g'' s + 1)/(n f)
-    is an integer.  As p_i divides k s, with m_i = (n p_i'' - p_i')/p_i,
-    ceil((n z + k s) p_i''/p_i) = k s p_i''/p_i + z m_i + ceil(z p_i'/p_i);
-    with u = (g'' - f')/f, ceil((n z + k s) g''/(n f)) = z u + k j +
-    ceil(z f'/f - k/(n f)) = z u + k j + ceil(z f'/f), as 0 <= k/(n f) < 1/f.
-    The terms left are linear in z and in k, and vanish by the difference of
-    the relations over P and by the cover's relation over f.
+    other multiplicities (s = prod p_i), p_i' and f' the source's invariants,
+    p_i'' and g'' the cover's for p_i and n f, e = |e0| and e'' = |e0''|:
+    branched_cover_identity checks that (A) m_i = (n p_i'' - p_i')/p_i,
+    (B) u = (g'' - f')/f and (C) j = (g'' s + 1)/(n f) are integers.  As p_i
+    divides k s, (A) gives ceil((n z + k s) p_i''/p_i) = k s p_i''/p_i +
+    z m_i + ceil(z p_i'/p_i); (B) and (C) give ceil((n z + k s) g''/(n f)) =
+    z u + k j + ceil(z f'/f - k/(n f)) = z u + k j + ceil(z f'/f), as
+    0 <= k/(n f) < 1/f.  The terms left are z (n e'' - sum m_i - u - e) and
+    k (s e'' - sum (s/p_i) p_i'' - j), and it checks that (D) the first
+    factor and (E) the second are 0.  The defining relations give all five:
+    n p_i'' = p_i' (mod p_i) and g'' s = -1 (mod n f), so g'' = f' (mod f);
+    (D) is the difference of the two relations divided by P, and (E) the
+    cover's relation divided by n f.
 
-    The identity is checked by evaluation all the same.  It makes each map a
-    strictly increasing value-preserving injection, so an embedding, into
-    [0, N_cover] (N_cover = n N + (n - 1) s), with images k s mod n:
-    disjoint, as gcd(n, s) = 1.  Both ranks come from the kernel.
+    The identity makes each map a strictly increasing value-preserving
+    injection, so an embedding, into [0, N_cover] (N_cover = n N + (n - 1) s),
+    with images k s mod n: disjoint, as gcd(n, s) = 1.  Both ranks come from
+    the kernel.
     """
     report = VerificationReport(
         statement="branched cover rank inequality",
         inputs={"tuple": list(t.multiplicities), "n": n})
-    _require_degree(n)
-    if t.is_degenerate:
+    try:
+        cover, holds = morphism.branched_cover_identity(t, n, fiber)
+    except DegenerateTupleError:    # refused after the degree's check
         report.check("degenerate source: inequality is trivial", True)
         return report
     if fiber is None:
         fiber = t.multiplicities[-1]
     report.inputs["fiber"] = fiber
-    cover, holds = morphism.branched_cover_identity(t, n, fiber)
     report.check("each map z -> n z + k P/fiber carries delta into the cover", holds)
     report.check("images pairwise disjoint", math.gcd(n, t.product // fiber) == 1)
     red, _ = _ranks(seifert.walk_statistics(t), report, "source")
@@ -105,15 +104,15 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
 
 
 def verify_branched_hat(t: seifert.SeifertTuple, n: int) -> VerificationReport:
-    """hat rank(Y) <= hat rank(Y') via the first cover map, z -> n z, alone."""
+    """hat rank(Y) <= hat rank(Y') via the first cover map, z -> n z."""
     report = VerificationReport(
         statement="branched cover hat-rank inequality",
         inputs={"tuple": list(t.multiplicities), "n": n})
-    _require_degree(n)
-    if t.is_degenerate:
+    try:
+        cover, holds = morphism.branched_cover_identity(t, n)
+    except DegenerateTupleError:    # refused after the degree's check
         report.check("degenerate source: inequality is trivial", True)
         return report
-    cover, holds = morphism.branched_cover_identity(t, n, maps=1)
     report.check("the map z -> n z carries delta into the cover", holds)
     _, hat = _ranks(seifert.walk_statistics(t), report, "source")
     _, hat_cover = _ranks(seifert.walk_statistics(cover), report, "cover")
@@ -127,7 +126,11 @@ def verify_pinch(base, q: int, r: int) -> VerificationReport:
     report = VerificationReport(
         statement="vertical pinch rank inequality",
         inputs={"base": list(base_t.multiplicities), "q": q, "r": r})
-    m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
+    try:
+        m, theta = morphism.pinch_semi_immersion(base_t.multiplicities, q, r)
+    except DegenerateTupleError:    # refused after the factors' checks
+        report.check("degenerate source: inequality is trivial", True)
+        return report
     red_src, _ = _ranks(m.source.rank(), report, "pinched")
     red_tgt, _ = _ranks(m.target.rank(), report, "unpinched")
     report.check("pinch map is a one-to-one semi-immersion",

@@ -21,9 +21,14 @@ the pinch map is built with; the tests drive that extension through it.
 assert_cover_identity_matches is the oracle of the branched-cover
 verifiers: branched_cover_embeddings builds the n maps between the two
 sequences, and each must send every source position z to n z + k P/fiber,
-be an embedding and preserve values, while the verifiers, which check the
-affine identity by evaluation and build no sequence, must hold with the
-ranks of those sequences.
+be an embedding and preserve values; identity_by_evaluation reads
+delta_cover(n z + k P/fiber) = delta(z) off both tuples' dense deltas for
+every z in [0, N] and k < n; and the verifiers, which check the affine
+identity's integer premises and build no sequence, must hold with the ranks
+of those sequences.  identity_verdicts compares the premises with the
+evaluation on any source and cover; off_by moves a tuple's invariants off
+the solution of its defining relation, and the tests corrupt either side
+with it.
 
 fix_defects_oracle is the defect repair with its own two-part split: it
 inserts each second part with np.insert and moves every old index past the
@@ -33,6 +38,7 @@ DeltaSequence's refinement core, which reports where each old index landed.
 
 from dataclasses import dataclass
 from math import prod
+from unittest import mock
 
 import numpy as np
 
@@ -41,6 +47,7 @@ from floerrank.deltaseq import DeltaSequence, from_seifert
 from floerrank.errors import FirstElementNegativeError, NotRigidError, NotSemiImmersionError
 
 from semigroup_oracle import two_generator
+from walk_oracle import dense_delta
 
 
 _recent = []    # (sequence, its position -> value dict), newest first
@@ -308,9 +315,47 @@ def fix_defects_oracle(m, theta):
     return new_source, new_target, new_index
 
 
+def off_by(t, shifts: dict):
+    """A copy of t whose invariants are moved by shifts: e0 by shifts["e0"]
+    and the invariant of each multiplicity p by shifts[p].  It equals t,
+    as only the multiplicities count, but is evaluated and checked by the
+    invariants it holds."""
+    inv = seifert.normalized_invariants(t)
+    moved = seifert.SeifertTuple(t.multiplicities)
+    moved.__dict__["_invariants"] = seifert.NormalizedInvariants(
+        inv.e0 + shifts.get("e0", 0), tuple((pp + shifts.get(p, 0), p) for pp, p in inv.pairs))
+    return moved
+
+
+def identity_by_evaluation(t, cover, n: int, fiber: int) -> bool:
+    """Whether delta_cover(n z + k s) = delta(z), s = P/fiber, for every z in
+    [0, N] and k < n, read off dense_delta over [0, N] and over the cover's
+    [0, n N + (n - 1) s], which must be its cutoff."""
+    s, N = t.product // fiber, seifert.n_cutoff(t)
+    if seifert.n_cutoff(cover) != n * N + (n - 1) * s:
+        return False
+    source, image = dense_delta(t, N), dense_delta(cover, n * N + (n - 1) * s)
+    z = np.arange(N + 1)
+    return all(np.array_equal(image[n * z + k * s], source) for k in range(n))
+
+
+def identity_verdicts(t, n: int, fiber: int = None, source=None, cover=None) -> tuple:
+    """(branched_cover_identity's verdict, identity_by_evaluation's) on the
+    n-fold cover of t along fiber (the largest by default), with source in
+    place of t and cover in place of the cover when given."""
+    fiber = fiber or t.multiplicities[-1]
+    true_cover, s = morphism._branched_cover(t, n, fiber)
+    source, cover = source or t, cover or true_cover
+    with mock.patch.object(morphism, "_branched_cover", lambda *_: (cover, s)):
+        premises = morphism.branched_cover_identity(source, n, fiber)[1]
+    return premises, identity_by_evaluation(source, cover, n, fiber)
+
+
 def assert_cover_identity_matches(t, n: int, fiber: int = None, maps=None):
-    """The branched-cover verifiers on (t, n, fiber) against the embedding
-    witness (maps, when the caller has built it)."""
+    """The branched-cover verifiers and the identity's premises on
+    (t, n, fiber) against the evaluation and the embedding witness (maps,
+    when the caller has built it)."""
+    assert identity_verdicts(t, n, fiber) == (True, True), (t, n, fiber)
     maps = maps or morphism.branched_cover_embeddings(t, n, fiber)
     shift = t.product // (fiber or t.multiplicities[-1])
     for k, m in enumerate(maps):

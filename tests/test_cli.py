@@ -327,6 +327,22 @@ def test_verify_pinch_cli(capsys):
     assert data["ranks"]["unpinched"]["red"] == 13
 
 
+def test_verify_pinch_cli_degenerate_source(capsys):
+    # Sigma(6,7) -> Sigma(2,3,7): the pinched source is degenerate, so the
+    # inequality holds trivially, as for the other verifiers; bad factors
+    # are still refused
+    code, out, _ = run(capsys, "verify", "pinch", "7", "--", "2", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert data["verdict"] == "holds" and data["ranks"] == {}
+    assert data["checks"] == [{"name": "degenerate source: inequality is trivial",
+                               "passed": True}]
+    for factors in (["2", "5"], ["1", "7"]):
+        code, out, err = run(capsys, "verify", "pinch", "2", "3", "--", *factors)
+        assert code == 2 and out == "" and err.startswith("error: "), factors
+        assert len(err.splitlines()) == 1, factors
+
+
 def test_verify_branched_cli(capsys):
     code, out, _ = run(capsys, "verify", "branched", "2", "3", "7", "--n", "5")
     assert code == 0

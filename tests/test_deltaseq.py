@@ -113,6 +113,8 @@ def test_merge():
         from_values([1, -1]).merge([0, 1])
     with pytest.raises(NotConsecutiveError):
         from_values([1, 2, -1, 3]).merge([0, 3])
+    with pytest.raises(NotConsecutiveError, match=r"^positions \[\] are not consecutive$"):
+        from_values([1, 2]).merge([])
 
 
 def test_canonical_values():

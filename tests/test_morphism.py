@@ -30,7 +30,7 @@ from floerrank.morphism import (
 )
 
 from conftest import random_tuple
-from morphism_oracle import rigid_extend
+from morphism_oracle import identity_verdicts, off_by, rigid_extend
 from semigroup_oracle import membership, two_generator
 
 
@@ -380,25 +380,43 @@ def test_branched_cover_disjoint_images(rng):
 
 @pytest.mark.parametrize("ms, n, fiber", [((2, 3, 7), 5, None), ((2, 3, 11), 5, None),
                                          ((2, 3, 5, 7), 2, 2), ((3, 4, 5, 7), 11, 5)])
-def test_cover_identity_reads_every_image(monkeypatch, ms, n, fiber):
-    # one wrong cover value at the image of z under map k fails the
-    # identity: every map is read on z <= N/2 (at 0 and at the middle here;
-    # the rest is their reflection), and the first map alone on all of
-    # [0, N], and no other map's image is read then
+def test_cover_identity_refuses_corrupted_invariants(ms, n, fiber):
+    # a cover with one invariant off, e0'' or that of a fiber (the others
+    # or n fiber) by -1, 1 or its multiplicity, fails both the premises and
+    # the evaluation; the true cover passes both
     t = seifert.make_tuple(ms)
-    cover, holds = branched_cover_identity(t, n, fiber)
-    assert holds and branched_cover_identity(t, n, fiber, maps=1)[1]
-    shift, N = t.product // (fiber or ms[-1]), seifert.n_cutoff(t)
-    original = seifert.delta_values
-    for z in sorted({0, N // 2, N - N // 2, N}):
-        for k in range(n):
-            def corrupted(u, x, wrong=n * z + k * shift):
-                return original(u, x) + ((x == wrong) if u == cover else 0)
+    cover, _ = branched_cover_identity(t, n, fiber)
+    assert identity_verdicts(t, n, fiber) == (True, True)
+    shifts = [{"e0": -1}, {"e0": 1}] + [{p: d} for p in cover.multiplicities for d in (-1, 1, p)]
+    for shift in shifts:
+        assert identity_verdicts(t, n, fiber, cover=off_by(cover, shift)) == (False, False), shift
 
-            monkeypatch.setattr(seifert, "delta_values", corrupted)
-            if z <= N // 2:
-                assert not branched_cover_identity(t, n, fiber)[1], (z, k)
-            assert branched_cover_identity(t, n, fiber, maps=1)[1] == (k > 0), (z, k)
+
+@pytest.mark.parametrize("ms, n, fiber, premise",
+                         [((2, 3, 7), 11, 7, x) for x in "ABCDE"]
+                         + [((3, 4, 5, 7), 11, 5, x) for x in "ABDE"])
+def test_cover_identity_checks_each_premise(ms, n, fiber, premise):
+    # On a true source, one wrong cover invariant breaks two premises or
+    # more, as the source's own relation links them.  Each corruption here
+    # leaves one premise the only one to fail: (A), (B) and (D) by moving a
+    # source invariant, (C) by moving g'' by f and e0 by 1 (with s < n, or
+    # (E) fails too) and (E) by moving e0'' by 1 and e0 by n, the ratio (D)
+    # keeps.  Both verdicts must be False.
+    t = seifert.make_tuple(ms)
+    cover, _ = branched_cover_identity(t, n, fiber)
+    p = min(q for q in ms if q != fiber)
+    source, image = {"A": ({p: 1 - p}, {}), "B": ({fiber: 1 - fiber}, {}),
+                     "C": ({"e0": 1}, {n * fiber: fiber}), "D": ({"e0": -1}, {}),
+                     "E": ({"e0": -n}, {"e0": -1})}[premise]
+    assert identity_verdicts(t, n, fiber, source=off_by(t, source),
+                             cover=off_by(cover, image)) == (False, False)
+
+
+def test_cover_identity_refuses_other_multiplicities():
+    # (2,5,13) has the cutoff 29 of (2,3,35), the 5-fold cover of (2,3,7),
+    # but not its multiplicities: False, not an error
+    t = seifert.make_tuple([2, 3, 7])
+    assert identity_verdicts(t, 5, cover=seifert.make_tuple([2, 5, 13])) == (False, False)
 
 
 @pytest.mark.parametrize("ms, n, fiber, error, message", [
