@@ -18,7 +18,8 @@ and combines them with the rank kernel (Nemethi's algorithm):
     for (p_1, p_2, p_2 + 1) is above n_max, and the p_1 loop stops when
     that happens at its first head (p_1, p_1 + 1).
 (c) Regular-fiber cover, p * rank(T) <= rank(T + (p,)) for p coprime to T
-    (verify_degree_map with the move regular:p).  Dropping the largest
+    (verify_degree_map with regular:p, which verify_branched certifies as
+    the p-fold cover along a fiber of multiplicity 1).  Dropping the largest
     multiplicity p > T[-1] of an l-fiber tuple of rank <= n_max leaves an
     (l-1)-fiber tuple T with (T[-1] + 1) * rank(T) <= n_max, so l-fiber
     prefixes come only from such rows, and (2,3,5), the one of rank 0.

@@ -53,6 +53,8 @@ def _split_on_dashes(tokens):
 
 
 def cmd_rank(args) -> int:
+    if args.json and args.csv:
+        raise ValueError("rank: give --json or --csv, not both")
     t = seifert.make_tuple(args.multiplicities)
     stats = seifert.walk_statistics(t)
     n_cut = seifert.n_cutoff(t) if t.fiber_count >= 1 else None

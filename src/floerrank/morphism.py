@@ -276,15 +276,16 @@ def fix_defects(m: DeltaMorphism, theta):
 
 
 def _branched_cover(t: seifert.SeifertTuple, n: int, fiber):
-    """(the n-fold cover along fiber, by default the largest, and the shift
-    P / fiber), once the degree, source, fiber and coprimality are checked."""
+    """(the n-fold cover along fiber, the largest by default and 1 for a
+    regular fiber, which adds a fiber n to t, and the shift P / fiber), once
+    the degree, source, fiber and coprimality are checked."""
     if n < 1:
         raise ValueError(f"covering degree must be >= 1, got {n}")
     if t.is_degenerate:
         raise DegenerateTupleError(f"{t} has no delta sequence")
     if fiber is None:
         fiber = t.multiplicities[-1]
-    if fiber not in t.multiplicities:
+    if fiber != 1 and fiber not in t.multiplicities:
         raise ValueError(f"{fiber} is not a multiplicity of {t}")
     others = tuple(p for p in t.multiplicities if p != fiber)
     if any(gcd(n, p) != 1 for p in others):
@@ -297,10 +298,10 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     """The n disjoint value-preserving embeddings into the n-fold cover.
 
     The cover multiplies the designated multiplicity (the largest one by
-    default) by n; the k-th map is z -> n z + k (P / fiber) for k = 0..n-1.
-    The degree must be coprime to every other multiplicity.  As the cover's
-    cutoff is n N + (n - 1) P / fiber, map k sends N - x to the reflection of
-    map n - 1 - k's image of x: one search places all n maps.
+    default, 1 for a regular fiber) by n; the k-th map is z -> n z + k P/fiber
+    for k = 0..n-1.  The degree must be coprime to every other multiplicity.
+    As the cover's cutoff is n N + (n - 1) P / fiber, map k sends N - x to
+    the reflection of map n - 1 - k's image of x: one search places all n.
     """
     cover, shift = _branched_cover(t, n, fiber)
     target = from_seifert(cover)
@@ -314,9 +315,9 @@ def branched_cover_identity(t: seifert.SeifertTuple, n: int,
     """(cover, whether delta_cover(n z + k s) = delta(z) for all z >= 0 and
     0 <= k < n), s = P / fiber: the cover and its errors are
     branched_cover_embeddings', and its cutoff must be n N + (n - 1) s, its
-    multiplicities t's with fiber times n, and verify_branched's premises
-    (A)-(E) hold.  The cover's int64 guard runs before the premises, so a
-    cover too large to walk is refused before a verifier walks."""
+    multiplicities t's with fiber (1 if regular) times n, and verify_branched's
+    premises (A)-(E) hold.  The cover's int64 guard runs before the premises,
+    so a cover too large to walk is refused before a verifier walks."""
     cover, s = _branched_cover(t, n, fiber)
     f = t.product // s
     if seifert.n_cutoff(cover) != n * seifert.n_cutoff(t) + (n - 1) * s:
@@ -324,8 +325,9 @@ def branched_cover_identity(t: seifert.SeifertTuple, n: int,
     seifert._half(cover)
     inv, inv2 = seifert.normalized_invariants(t), seifert.normalized_invariants(cover)
     source, image = ({p: pp for pp, p in i.pairs} for i in (inv, inv2))
-    f1, g2 = source.pop(f), image.pop(n * f, None)
-    if g2 is None or image.keys() != source.keys():
+    # fiber 1, a regular one, has no pair and invariant 0; a missing n f > 1 fails (C)
+    f1, g2 = source.pop(f, 0), image.pop(n * f, 0)
+    if image.keys() != source.keys():
         return cover, False
     m = [divmod(n * image[p] - source[p], p) for p in source]     # (A)
     u, u_rem = divmod(g2 - f1, f)                                   # (B)

@@ -6,8 +6,9 @@ then a comparison of the two sides' ranks, read off the witness sequences
 (the source and target of a witness map).  The branched-cover verifiers
 check the integer premises of the cover maps' affine identity, build no
 sequence and take both ranks from the kernel.  The degree-map verifier
-takes its start and end ranks from its sub-reports.  A "fails" verdict on
-a valid input would mean an implementation bug, never new mathematics.
+certifies each move by the pinch or the branched-cover verifier and takes
+its start and end ranks from its sub-reports.  A "fails" verdict on a
+valid input would mean an implementation bug, never new mathematics.
 
 Degenerate inputs (S^3-like tuples and (2,3,5)) have reduced rank 0 and hat
 rank 1, so the inequalities hold trivially and no witness is built.
@@ -62,7 +63,8 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
                     fiber: int = None) -> VerificationReport:
     """n * rank(Y) <= rank(Y') for the n-fold cover along a designated fiber.
 
-    The largest multiplicity f is covered unless another one is designated.
+    The largest multiplicity f is covered unless another one is designated;
+    f = 1 designates a regular fiber, and the cover adds a fiber n.
     With s = P/f, each map z -> n z + k s (k < n) has
     delta_cover(n z + k s) = delta(z) for all z >= 0.  Proof, with p_i the
     other multiplicities (s = prod p_i), p_i' and f' the source's invariants,
@@ -77,7 +79,9 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     factor and (E) the second are 0.  The defining relations give all five:
     n p_i'' = p_i' (mod p_i) and g'' s = -1 (mod n f), so g'' = f' (mod f);
     (D) is the difference of the two relations divided by P, and (E) the
-    cover's relation divided by n f.
+    cover's relation divided by n f.  A regular fiber is f = 1 with f' = 0:
+    Sigma(T, 1) has T's relation, P and N, the ceiling step is
+    ceil(-k/n) = 0, and for n = 1 the cover is T, with g'' = 0.
 
     The identity makes each map a strictly increasing value-preserving
     injection, so an embedding, into [0, N_cover] (N_cover = n N + (n - 1) s),
@@ -217,12 +221,13 @@ class DegreeMove:
 def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
     """|deg| * rank(end) <= rank(start) along a chain of covering/pinch moves.
 
-    Each move is certified with its own witness inequality: pinches through
-    the pinch verifier, fiber covers through the cover identity, regular
-    covers through the cover-then-pinch chain.  The start and end ranks are
-    the sub-reports' ranks of those tuples.  Only the empty chain, or one
-    whose first move ends degenerate, ranks its start afresh, and a
-    degenerate end's ranks need no walk.
+    Each move is certified with its own witness inequality: a pinch through
+    the pinch verifier, a cover through verify_branched on the move's result
+    along fibers[0] // n for a fiber move (1 if it unwinds the fiber) and
+    fiber 1, a regular fiber, for a regular move; no cover builds a sequence.
+    The start and end ranks are the sub-reports' ranks of those tuples.  Only
+    the empty chain, or one whose first move ends degenerate, ranks its start
+    afresh, and a degenerate end's ranks need no walk.
     """
     report = VerificationReport(
         statement="composite degree-map rank inequality",
@@ -243,23 +248,12 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
             q, r = mv.fibers
             base = [p for p in current.multiplicities if p not in (q, r)]
             sub = verify_pinch(base, q, r)
-            report.check(f"{label}: witness verified", sub.verdict == "holds")
             ranks[current], ranks[nxt] = sub.ranks["unpinched"], sub.ranks["pinched"]
-        elif mv.kind == "branched_fiber" and mv.fibers[0] > mv.n:
-            sub = verify_branched(nxt, mv.n, fiber=mv.fibers[0] // mv.n)
-            report.check(f"{label}: witness verified", sub.verdict == "holds")
-            ranks[current], ranks[nxt] = sub.ranks["cover"], sub.ranks["source"]
         else:
-            # cover branched over a regular fiber (or a fiber fully unwound
-            # to multiplicity 1): chain through
-            # n * rank(next) <= rank(next with largest fiber scaled by n)
-            #                <= rank(next + a new fiber n) = rank(current)
-            sub1 = verify_branched(nxt, mv.n)
-            base = list(nxt.multiplicities[:-1])
-            sub2 = verify_pinch(base, nxt.multiplicities[-1], mv.n)
-            report.check(f"{label}: cover witness verified", sub1.verdict == "holds")
-            report.check(f"{label}: pinch witness verified", sub2.verdict == "holds")
-            ranks[current], ranks[nxt] = sub2.ranks["unpinched"], sub1.ranks["source"]
+            fiber = mv.fibers[0] // mv.n if mv.kind == "branched_fiber" else 1
+            sub = verify_branched(nxt, mv.n, fiber)
+            ranks[current], ranks[nxt] = sub.ranks["cover"], sub.ranks["source"]
+        report.check(f"{label}: witness verified", sub.verdict == "holds")
         current = nxt
     for label, t in (("start", start), ("end", current)):
         if t not in ranks:

@@ -131,6 +131,13 @@ def test_root_refuses_a_tuple_with_tau(capsys):
     assert err == "error: root: give the tuple 2 3 5 7 or --tau 1 2, not both\n"
 
 
+def test_rank_refuses_json_with_csv(capsys):
+    # either order: one format, not the first one given
+    for argv in (("--json", "--csv"), ("--csv", "--json")):
+        code, out, err = run(capsys, "rank", "2", "3", "7", *argv)
+        assert (code, out, err) == (2, "", "error: rank: give --json or --csv, not both\n")
+
+
 def test_botany_refuses_a_negative_rank(capsys):
     code, out, err = run(capsys, "botany", "-5")
     assert code == 2 and out == ""
@@ -266,18 +273,22 @@ def test_dense_sequence_refused_under_memory_cap():
 
 def test_large_covers_verified_under_memory_cap():
     # covers past the sequences' MAX_CUTOFF answer in flat memory: the cover
-    # (2,3,5,7,11,13,323) spans N = 35,431,817, and (2,3,700000049) is
-    # reached by 10^8 maps of one source point each, in bounded blocks
-    for argv, source, cover in (
-            (["2", "3", "5", "7", "11", "13", "17", "--n", "19"],
-             {"red": 97013, "hat": 162241}, {"red": 1844672, "hat": 3251287}),
-            (["2", "3", "7", "--n", "100000007"],
-             {"red": 1, "hat": 3}, {"red": 116666674, "hat": 233333349})):
-        proc = run_capped("-m", "floerrank.cli", "verify", "branched", *argv)
+    # (2,3,5,7,11,13,323) spans N = 35,431,817, (2,3,700000049) is reached
+    # by 10^8 maps of one source point each, and the degree map certifies
+    # (2,...,19) as the 19-fold cover of (2,...,17) along a regular fiber
+    for argv, ranks in (
+            (["branched", "2", "3", "5", "7", "11", "13", "17", "--n", "19"],
+             {"source": {"red": 97013, "hat": 162241}, "cover": {"red": 1844672, "hat": 3251287}}),
+            (["branched", "2", "3", "7", "--n", "100000007"],
+             {"source": {"red": 1, "hat": 3}, "cover": {"red": 116666674, "hat": 233333349}}),
+            (["degree", "2", "3", "5", "7", "11", "13", "17", "19", "--move", "regular:19"],
+             {"start": {"red": 2246312, "hat": 3326019}, "end": {"red": 97013, "hat": 162241},
+              "degree": 19})):
+        proc = run_capped("-m", "floerrank.cli", "verify", *argv)
         assert proc.returncode == 0 and proc.stderr == "", (argv, proc.stderr)
         report = json.loads(proc.stdout)
         assert report["verdict"] == "holds", argv
-        assert report["ranks"] == {"source": source, "cover": cover}, argv
+        assert report["ranks"] == ranks, argv
 
 
 def test_wide_ascii_drawing_refused_under_memory_cap():

@@ -379,11 +379,15 @@ def test_branched_cover_disjoint_images(rng):
 
 
 @pytest.mark.parametrize("ms, n, fiber", [((2, 3, 7), 5, None), ((2, 3, 11), 5, None),
-                                         ((2, 3, 5, 7), 2, 2), ((3, 4, 5, 7), 11, 5)])
+                                         ((2, 3, 5, 7), 2, 2), ((3, 4, 5, 7), 11, 5),
+                                         ((2, 3, 7), 11, 1), ((3, 4, 5, 7), 13, 1),
+                                         ((2, 3, 5, 7), 1, 1)])
 def test_cover_identity_refuses_corrupted_invariants(ms, n, fiber):
     # a cover with one invariant off, e0'' or that of a fiber (the others
     # or n fiber) by -1, 1 or its multiplicity, fails both the premises and
-    # the evaluation; the true cover passes both
+    # the evaluation; the true cover passes both.  Fiber 1 is a regular
+    # fiber: the cover's fiber n carries g'', and for n = 1 the cover is
+    # the source itself
     t = seifert.make_tuple(ms)
     cover, _ = branched_cover_identity(t, n, fiber)
     assert identity_verdicts(t, n, fiber) == (True, True)
@@ -412,6 +416,18 @@ def test_cover_identity_checks_each_premise(ms, n, fiber, premise):
                              cover=off_by(cover, image)) == (False, False)
 
 
+def test_regular_cover_identity_matches_evaluation():
+    # a seeded corpus of covers along a regular fiber (fiber 1, which adds
+    # a fiber n to the tuple), n = 1 among them: the premises hold, as the
+    # dense evaluation of delta over both cutoffs does
+    rng = random.Random(28)
+    for i in range(400):
+        t = random_tuple(rng, lengths=(3, 4, 5), max_entry=30, max_product=5000)
+        degrees = [k for k in range(2, 14) if all(math.gcd(k, p) == 1 for p in t.multiplicities)]
+        n = 1 if i % 12 == 0 or not degrees else rng.choice(degrees)
+        assert identity_verdicts(t, n, 1) == (True, True), (t, n)
+
+
 def test_cover_identity_refuses_other_multiplicities():
     # (2,5,13) has the cutoff 29 of (2,3,35), the 5-fold cover of (2,3,7),
     # but not its multiplicities: False, not an error
@@ -425,6 +441,8 @@ def test_cover_identity_refuses_other_multiplicities():
     ((2, 3, 7), 5, 4, ValueError, "4 is not a multiplicity of (2,3,7)"),
     ((2, 3, 7), 6, None, NotCoprimeError, "degree 6 shares a factor with (2, 3)"),
     ((2, 3, 5, 7), 3, 2, NotCoprimeError, "degree 3 shares a factor with (3, 5, 7)"),
+    ((2, 3, 7), 11, 0, ValueError, "0 is not a multiplicity of (2,3,7)"),
+    ((2, 3, 7), 6, 1, NotCoprimeError, "degree 6 shares a factor with (2, 3, 7)"),
 ])
 def test_cover_witnesses_share_their_errors(ms, n, fiber, error, message):
     # the embedding witness, the identity and the verifier (which answers a

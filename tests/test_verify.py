@@ -137,7 +137,7 @@ def test_verify_degree_map_cover_of_non_largest_fiber():
 
 def test_verify_degree_map_fully_unwound_fiber():
     # dividing the 11 out of (2,3,7,11) by 11 removes it entirely; the
-    # witness must go through the regular-fiber chain
+    # witness is the 11-fold cover of (2,3,7) along a fiber of multiplicity 1
     report = verify.verify_degree_map(
         T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))])
     assert report.verdict == "holds"
@@ -147,20 +147,26 @@ def test_verify_degree_map_fully_unwound_fiber():
 
 def test_branched_verifiers_match_embedding_oracle():
     # a seeded corpus of 3 to 6 fibers: the designated fiber is drawn from
-    # all of them, and n = 1 and a non-largest fiber are forced in
+    # all of them and, for a third of the corpus, is a regular fiber (1);
+    # n = 1, a non-largest fiber and n = 1 on a regular fiber are forced in
     rng = random.Random(26)
     seen = set()
-    for i in range(40):
+    for i in range(60):
         t = random_tuple(rng, lengths=(3 + i % 4,), max_entry=30, max_product=10**5)
-        fiber = rng.choice(t.multiplicities[:-1] if i % 4 == 0 else t.multiplicities)
+        if i % 3 == 2:
+            fiber = 1
+        else:
+            fiber = rng.choice(t.multiplicities[:-1] if i % 4 == 0 else t.multiplicities)
         others = [p for p in t.multiplicities if p != fiber]
         degrees = [k for k in range(2, 30) if all(math.gcd(k, p) == 1 for p in others)
                    and k * t.product <= 6 * 10**5]
-        n = 1 if i % 10 == 0 or not degrees else rng.choice(degrees)
+        n = 1 if i % 10 in (0, 5) or not degrees else rng.choice(degrees)
         assert_cover_identity_matches(t, n, fiber)
-        seen.add((t.fiber_count, n == 1, fiber == t.multiplicities[-1]))
-    assert {count for count, _, _ in seen} == {3, 4, 5, 6}
-    assert any(one for _, one, _ in seen) and not all(top for _, _, top in seen)
+        seen.add((t.fiber_count, n, fiber == 1, fiber == t.multiplicities[-1]))
+    assert {count for count, _, _, _ in seen} == {3, 4, 5, 6}
+    assert not all(top for _, _, _, top in seen)
+    assert {(n == 1, regular) for _, n, regular, _ in seen} == {
+        (False, False), (True, False), (False, True), (True, True)}
 
 
 def test_verify_branched_large_degree_family():
@@ -177,6 +183,13 @@ def test_verify_branched_designated_fiber():
     assert report.verdict == "holds"
     assert report.ranks["cover"]["red"] >= 2 * report.ranks["source"]["red"]
     assert report.inputs["fiber"] == 2
+    # fiber 1 is a regular fiber: the cover adds a fiber n, and for n = 1
+    # it is the source itself
+    regular = verify.verify_branched(T(2, 3, 7), 11, fiber=1)
+    assert regular.verdict == "holds" and regular.inputs["fiber"] == 1
+    assert regular.ranks == {"source": {"red": 1, "hat": 3}, "cover": {"red": 30, "hat": 61}}
+    same = verify.verify_branched(T(3, 4, 5, 7), 1, fiber=1)
+    assert same.verdict == "holds" and same.ranks["source"] == same.ranks["cover"]
 
 
 def test_verify_degree_map_composition(rng):
@@ -307,10 +320,14 @@ def test_each_witness_builds_each_delta_sequence_once(monkeypatch):
     calls.clear()
     assert verify.verify_monotone(T(2, 3, 7), T(2, 3, 13)).verdict == "holds"
     assert len(calls) == 2
-    # the branched verifiers check the cover identity and build no sequence
+    # the branched verifiers check the cover identity and build no
+    # sequence, nor does a degree map's cover along a regular fiber
     calls.clear()
     assert verify.verify_branched(T(2, 3, 7), 5).verdict == "holds"
     assert verify.verify_branched_hat(T(2, 3, 11), 7).verdict == "holds"
+    for move in (DegreeMove("branched_regular", n=11),
+                 DegreeMove("branched_fiber", n=11, fibers=(11,))):
+        assert verify.verify_degree_map(T(2, 3, 7, 11), [move]).verdict == "holds"
     assert calls == []
 
 
@@ -348,11 +365,13 @@ DEGREE_CHAINS = [
     # a cover move walks its source and its cover in the kernel
     (T(2, 3, 35), [DegreeMove("branched_fiber", n=5, fibers=(35,))],
      [(2, 3, 7), (2, 3, 35)], False),
-    (T(2, 3, 7, 11), [DegreeMove("branched_regular", n=11)], [(2, 3, 7), (2, 3, 77)], False),
+    # a regular cover, or a fiber unwound to 1, is the cover along fiber 1
+    (T(2, 3, 7, 11), [DegreeMove("branched_regular", n=11)],
+     [(2, 3, 7), (2, 3, 7, 11)], False),
     (T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))],
-     [(2, 3, 7), (2, 3, 77)], False),
+     [(2, 3, 7), (2, 3, 7, 11)], False),
     (T(3, 4, 5, 7, 11), [DegreeMove("pinch", fibers=(4, 11)),
-                         DegreeMove("branched_regular", n=5)], [(3, 7, 44), (3, 7, 220)], False),
+                         DegreeMove("branched_regular", n=5)], [(3, 7, 44), (3, 5, 7, 44)], False),
     # no sub-report: the empty chain ranks its start (= end) once
     (T(2, 3, 7), [], [(2, 3, 7)], False),
     (T(2, 3, 5), [], [], True),
