@@ -18,6 +18,8 @@ A sequence is two read-only int64 arrays, strictly increasing integer
 positions and their values.  Restrictions and merges keep the positions
 they retain; a refinement returns a sequence re-indexed to positions
 0..k-1, since only the order of the positions matters to the ranks.
+Positions become indices through one lookup, _find: a position -> index
+table where they are dense, as from Seifert tuples, else a binary search.
 """
 
 import numpy as np
@@ -39,14 +41,25 @@ from .errors import (
 # by tracemalloc on (2,3,5,7,11,13,19), 15.6 bytes): about 62 MB here.
 MAX_CUTOFF = 4_000_000
 
+_DENSE = 4      # _find's table has fewer entries than this per position and item
+
 
 def _find(ordered: np.ndarray, items):
-    """Insertion indices of items in a sorted array, and which items it holds."""
+    """Indices of items in a sorted array, and which items it holds; an index
+    means something only where its item is found.  Non-negative positions,
+    the largest below _DENSE times the positions plus the items (as from
+    Seifert tuples and at 0..k-1), fill a position -> index table the items
+    read; sparser ones are binary searched, so that memory stays bounded."""
     items = np.asarray(items, dtype=np.int64)
-    idx = np.searchsorted(ordered, items)
     if not ordered.size:
-        return idx, np.zeros(items.shape, dtype=bool)
-    return idx, np.take(ordered, idx, mode="clip") == items
+        return np.zeros(items.shape, dtype=np.int64), np.zeros(items.shape, dtype=bool)
+    if ordered[0] >= 0 and ordered[-1] < _DENSE * (ordered.size + items.size):
+        table = np.zeros(ordered[-1] + 1, dtype=np.int64)
+        table[ordered] = np.arange(ordered.size)
+        idx = table.take(items, mode="clip")
+    else:
+        idx = np.searchsorted(ordered, items)
+    return idx, ordered.take(idx, mode="clip") == items
 
 
 class DeltaSequence:
@@ -114,9 +127,9 @@ class DeltaSequence:
 
     def rank(self) -> seifert.WalkStatistics:
         vals = self.values
-        c = np.count_nonzero((vals[:-1] < 0) & (vals[1:] > 0))
-        c += vals.size > 0 and vals[-1] < 0
-        return seifert.WalkStatistics(kappa=-int(vals[vals < 0].sum()),
+        neg = vals < 0      # values are nonzero: the others are positive
+        c = np.count_nonzero(neg[:-1] > neg[1:]) + np.count_nonzero(neg[-1:])
+        return seifert.WalkStatistics(kappa=-int(np.minimum(vals, 0).sum()),
                                       min_tau=int(np.cumsum(vals).min(initial=0)),
                                       c=int(c))
 

@@ -132,12 +132,17 @@ class GradedRoot:
     def vertex_counts(self) -> dict:
         """Vertices per grading from min(tau) up to stabilization.
 
-        Above stabilization every grading has exactly one vertex (implicit).
+        Above stabilization every grading has exactly one vertex (implicit);
+        a window of more than MAX_VERTICES gradings is refused.
         """
+        low = min(self.minima)
+        if self.stabilization - low >= MAX_VERTICES:
+            raise ValueError(f"graded root spans {self.stabilization - low + 1} gradings, "
+                             f"more than the {MAX_VERTICES} vertex_counts may list")
         step = Counter(self.minima)
         step.subtract(self.maxima)
         counts, running = {}, 0
-        for h in range(min(self.minima), self.stabilization + 1):
+        for h in range(low, self.stabilization + 1):
             running += step[h]
             counts[h] = running
         return counts

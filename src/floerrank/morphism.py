@@ -20,7 +20,8 @@ refinements that do not change ranks.
 
 Positions are integers and maps are read-only int64 index arrays: a morphism
 into its target, a control function theta into its source (the partner of
-each positive-defect index, in source order).
+each positive-defect index, in source order).  The witnesses compute image
+positions, which deltaseq's position -> index table turns into indices.
 
 The three concrete families: the degree-n covering maps z -> n z + k P/p_l,
 the normal-form comparison map between componentwise-comparable tuples, and
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import seifert
 from .arith import check_int64, mod_inverse, pairwise_coprime
-from .deltaseq import DeltaSequence, from_seifert
+from .deltaseq import DeltaSequence, _find, from_seifert
 from .errors import (
     DegenerateTupleError,
     NotBadError,
@@ -301,7 +302,7 @@ def branched_cover_embeddings(t: seifert.SeifertTuple, n: int,
     default, 1 for a regular fiber) by n; the k-th map is z -> n z + k P/fiber
     for k = 0..n-1.  The degree must be coprime to every other multiplicity.
     As the cover's cutoff is n N + (n - 1) P / fiber, map k sends N - x to
-    the reflection of map n - 1 - k's image of x: one search places all n.
+    the reflection of map n - 1 - k's image of x: one lookup places all n.
     """
     cover, shift = _branched_cover(t, n, fiber)
     target = from_seifert(cover)
@@ -368,10 +369,15 @@ def _normal_forms(xs: np.ndarray, t: seifert.SeifertTuple, n: int):
     times the inverse of P/p_i mod p_i, which is -p_i' mod p_i."""
     full, ps = t.product, t.multiplicities
     check_int64((n + 1) * full)
-    coords = [xs * (-pp % p) % p for pp, p in seifert.normalized_invariants(t).pairs]
-    k, rem = np.divmod(xs - sum(c * (full // p) for c, p in zip(coords, ps)), full)
-    assert not rem.any()
-    return k, coords
+    coords = [_residue(xs * (-pp % p), p) for pp, p in seifert.normalized_invariants(t).pairs]
+    rest = xs - sum(c * (full // p) for c, p in zip(coords, ps))
+    assert not _residue(rest, full).any()
+    return rest // full, coords
+
+
+def _residue(y: np.ndarray, p: int) -> np.ndarray:
+    """y mod p by a floor division, which numpy runs about 3x faster than %."""
+    return y - y // p * p
 
 
 # -- two-generator numerical semigroups (the pinch engine) -------------------
@@ -397,7 +403,7 @@ class TwoGenSemigroup:
         self._q_inv_mod_r = mod_inverse(q % r, r)
         # s = aq + br with 0 <= a < r is a member iff b >= 0
         upto = np.arange(q * r - q - r + 1)
-        self._small = upto[upto * self._q_inv_mod_r % r * q <= upto]
+        self._small = upto[_residue(upto * self._q_inv_mod_r, r) * q <= upto]
         self._small.flags.writeable = False
         assert self._small.size == self.shift
 
@@ -407,7 +413,7 @@ class TwoGenSemigroup:
 
     def _delta_lower(self, s):
         """1 + floor(a/r) + floor(b/q) for each member s = aq + br, 0 <= a < r."""
-        a = s * self._q_inv_mod_r % self.r
+        a = _residue(s * self._q_inv_mod_r, self.r)
         return 1 + a // self.r + (s - a * self.q) // self.r // self.q
 
     def theta_array(self, b: np.ndarray) -> np.ndarray:
@@ -427,7 +433,7 @@ def _reflected(source: DeltaSequence, target: DeltaSequence, images) -> np.ndarr
     """Target indices of maps between Seifert sequences, one row per row of
     the n rows of images: row k sends each positive x to images[k] and N - x
     to N' - y, y the image of x in row n - 1 - k.  Seifert sequences hold
-    N - p at index len - 1 - i where they hold p at i: one search places all."""
+    N - p at index len - 1 - i where they hold p at i: one lookup places all."""
     pos = np.flatnonzero(source.values > 0)
     found = target.indices_of(images)
     index = np.full((len(found), len(source)), -1, dtype=np.int64)  # a hole is refused
@@ -486,7 +492,7 @@ def pinch_semi_immersion(base, q: int, r: int):
 
     bad = np.flatnonzero(morphism.defect_table() > 0)
     x, side = source.positions[bad], np.sign(source.values[bad])  # -1: reflected from n1 - x
-    zb = z[np.searchsorted(xs, np.where(side > 0, x, n1 - x))]
+    zb = z[_find(xs, np.where(side > 0, x, n1 - x))[0]]
     theta = source.indices_of(x + side * unit * (semi.theta_array(zb) - zb))
     theta.flags.writeable = False
     return morphism, theta

@@ -59,6 +59,15 @@ def _ranks(stats: seifert.WalkStatistics, report: VerificationReport, label: str
     return stats.rank_red, stats.rank_hat
 
 
+def _walk(t: seifert.SeifertTuple, report: VerificationReport, label: str, known: dict):
+    """(reduced, hat) ranks of t under label, walked unless known has them."""
+    if t not in known:
+        stats = seifert.walk_statistics(t)
+        known[t] = {"red": stats.rank_red, "hat": stats.rank_hat}
+    report.ranks[label] = dict(known[t])
+    return known[t]["red"], known[t]["hat"]
+
+
 def verify_branched(t: seifert.SeifertTuple, n: int,
                     fiber: int = None) -> VerificationReport:
     """n * rank(Y) <= rank(Y') for the n-fold cover along a designated fiber.
@@ -88,6 +97,11 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     with images k s mod n: disjoint, as gcd(n, s) = 1.  Both ranks come from
     the kernel.
     """
+    return _verify_branched(t, n, fiber, {})
+
+
+def _verify_branched(t: seifert.SeifertTuple, n: int, fiber, known: dict) -> VerificationReport:
+    """verify_branched, walking only the tuples whose ranks known lacks (see _walk)."""
     report = VerificationReport(
         statement="branched cover rank inequality",
         inputs={"tuple": list(t.multiplicities), "n": n})
@@ -101,8 +115,8 @@ def verify_branched(t: seifert.SeifertTuple, n: int,
     report.inputs["fiber"] = fiber
     report.check("each map z -> n z + k P/fiber carries delta into the cover", holds)
     report.check("images pairwise disjoint", math.gcd(n, t.product // fiber) == 1)
-    red, _ = _ranks(seifert.walk_statistics(t), report, "source")
-    red_cover, _ = _ranks(seifert.walk_statistics(cover), report, "cover")
+    red, _ = _walk(t, report, "source", known)
+    red_cover, _ = _walk(cover, report, "cover", known)
     report.check(f"{n} * rank(source) <= rank(cover)", n * red <= red_cover)
     return report
 
@@ -118,8 +132,8 @@ def verify_branched_hat(t: seifert.SeifertTuple, n: int) -> VerificationReport:
         report.check("degenerate source: inequality is trivial", True)
         return report
     report.check("the map z -> n z carries delta into the cover", holds)
-    _, hat = _ranks(seifert.walk_statistics(t), report, "source")
-    _, hat_cover = _ranks(seifert.walk_statistics(cover), report, "cover")
+    _, hat = _walk(t, report, "source", {})
+    _, hat_cover = _walk(cover, report, "cover", {})
     report.check("hat rank(source) <= hat rank(cover)", hat <= hat_cover)
     return report
 
@@ -225,17 +239,15 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
     the pinch verifier, a cover through verify_branched on the move's result
     along fibers[0] // n for a fiber move (1 if it unwinds the fiber) and
     fiber 1, a regular fiber, for a regular move; no cover builds a sequence.
-    The start and end ranks are the sub-reports' ranks of those tuples.  Only
-    the empty chain, or one whose first move ends degenerate, ranks its start
-    afresh, and a degenerate end's ranks need no walk.
+    Each tuple is ranked once, by the first move that meets it, and the start
+    and end ranks are the sub-reports' ranks of those tuples.  Only the empty
+    chain, or one whose first move ends degenerate, ranks its start afresh.
     """
     report = VerificationReport(
         statement="composite degree-map rank inequality",
         inputs={"start": list(start.multiplicities),
                 "moves": [[mv.kind, mv.n, list(mv.fibers)] for mv in moves]})
-    current = start
-    degree = 1
-    ranks = {}      # tuple -> its ranks in a sub-report
+    current, degree, ranks = start, 1, {}     # ranks: tuple -> its ranks in a sub-report
     for step, mv in enumerate(moves):
         nxt = mv.apply(current)
         degree *= mv.degree
@@ -245,22 +257,15 @@ def verify_degree_map(start: seifert.SeifertTuple, moves) -> VerificationReport:
             current = nxt
             continue
         if mv.kind == "pinch":
-            q, r = mv.fibers
-            base = [p for p in current.multiplicities if p not in (q, r)]
-            sub = verify_pinch(base, q, r)
+            sub = verify_pinch(sorted(set(current.multiplicities) - set(mv.fibers)), *mv.fibers)
             ranks[current], ranks[nxt] = sub.ranks["unpinched"], sub.ranks["pinched"]
         else:
             fiber = mv.fibers[0] // mv.n if mv.kind == "branched_fiber" else 1
-            sub = verify_branched(nxt, mv.n, fiber)
-            ranks[current], ranks[nxt] = sub.ranks["cover"], sub.ranks["source"]
+            sub = _verify_branched(nxt, mv.n, fiber, ranks)
         report.check(f"{label}: witness verified", sub.verdict == "holds")
         current = nxt
-    for label, t in (("start", start), ("end", current)):
-        if t not in ranks:
-            red, hat = seifert.rank_pair(t)
-            ranks[t] = {"red": red, "hat": hat}
-        report.ranks[label] = dict(ranks[t])
-    red_start, red_end = report.ranks["start"]["red"], report.ranks["end"]["red"]
+    red_start, _ = _walk(start, report, "start", ranks)
+    red_end, _ = _walk(current, report, "end", ranks)
     report.inputs["end"] = list(current.multiplicities)
     report.ranks["degree"] = degree
     report.check("|deg| * rank(end) <= rank(start)", degree * red_end <= red_start)

@@ -10,6 +10,12 @@ delta; the tests compare the two.
 refine_many_loop checks and splices one split at a time, in index order; the
 library checks every split and builds the refined values with a few array
 passes.
+
+searchsorted_find places every item by binary search, the one path the
+library keeps for sparse positions; the library reads dense positions off a
+position -> index table.  rank_by_sign_gathers is the rank formula with a
+boolean gather for kappa and two comparisons per sign change; the library
+reads the changes off one comparison of the negative mask.
 """
 
 import numpy as np
@@ -51,3 +57,21 @@ def refine_many_loop(seq: DeltaSequence, splits: dict) -> DeltaSequence:
         prev = i + 1
     values = np.concatenate(pieces + [seq.values[prev:]])
     return DeltaSequence(np.arange(values.size), values)
+
+
+def searchsorted_find(ordered: np.ndarray, items):
+    """Insertion indices of items in a sorted array, and which items it holds."""
+    items = np.asarray(items, dtype=np.int64)
+    idx = np.searchsorted(ordered, items)
+    if not ordered.size:
+        return idx, np.zeros(items.shape, dtype=bool)
+    return idx, np.take(ordered, idx, mode="clip") == items
+
+
+def rank_by_sign_gathers(values) -> seifert.WalkStatistics:
+    vals = np.asarray(values, dtype=np.int64)
+    c = np.count_nonzero((vals[:-1] < 0) & (vals[1:] > 0))
+    c += vals.size > 0 and vals[-1] < 0
+    return seifert.WalkStatistics(kappa=-int(vals[vals < 0].sum()),
+                                  min_tau=int(np.cumsum(vals).min(initial=0)),
+                                  c=int(c))

@@ -18,7 +18,8 @@ from floerrank.errors import (
 )
 
 from conftest import random_delta_values, random_tuple
-from deltaseq_oracle import refine_many_loop, sieve_from_seifert
+from deltaseq_oracle import (rank_by_sign_gathers, refine_many_loop, searchsorted_find,
+                             sieve_from_seifert)
 from walk_oracle import assert_matches_oracle, dense_tau
 
 
@@ -373,3 +374,121 @@ def test_refine_many_matches_the_loop():
 
     check()
     assert set(outcomes) == {"refined", ValueError, SignMismatchError, SumMismatchError}, outcomes
+
+
+def _lookup_corpus(rng):
+    """(sequence, queries) on both sides of _find's density rule: Seifert
+    sequences of 3 to 6 fibers and sequences at 0..k-1 (dense), positions
+    with wide gaps and negative positions (sparse), and empty sequences.
+    The queries mix positions, repeats, absent positions, negatives and
+    positions above the largest.  Each case says whether _find searches."""
+    seqs = [(from_seifert(random_tuple(rng, lengths=(3, 4, 5), max_product=10**5)), False)
+            for _ in range(12)]
+    seqs += [(from_seifert(seifert.make_tuple(t)), False)
+             for t in ((2, 3, 5, 7, 11, 13), (2, 3, 5, 7, 11, 19))]
+    for _ in range(12):
+        ds = from_values(random_delta_values(rng, max_len=30))
+        big = np.flatnonzero(np.abs(ds.values) >= 2)
+        if big.size:     # a refinement re-indexes to 0..k-1
+            v = int(ds.values[big[0]])
+            ds = ds.refine(int(ds.positions[big[0]]), [np.sign(v), v - np.sign(v)])
+        seqs.append((ds, False))
+    for _ in range(12):
+        values = random_delta_values(rng, max_len=40)
+        positions = sorted(rng.sample(range(10**6, 10**12), len(values)))
+        seqs.append((DeltaSequence(positions, values), True))
+    seqs += [(DeltaSequence([0, 10**12], [1, -1]), True),
+             (DeltaSequence([-5, 3, 9], [1, -2, 1]), True), (DeltaSequence([], []), False)]
+    corpus = []
+    for ds, searched in seqs:
+        pos = ds.positions.tolist()
+        top = pos[-1] if pos else 0
+        present = rng.sample(pos, min(len(pos), 50))
+        absent = [q for q in rng.sample(range(top + 2), min(top + 2, 30)) if q not in set(pos)]
+        queries = present + present[:5] + absent + [-1, -top - 3, top + 1, 2 * top + 7, 2**62]
+        rng.shuffle(queries)
+        corpus.append((ds, present, queries, searched))
+    return corpus
+
+
+def test_find_matches_searchsorted_on_both_paths(rng, monkeypatch):
+    searches, original = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or original(*a, **k))
+    cases = [(ds.positions, queries, searched) for ds, _, queries, searched in _lookup_corpus(rng)]
+    # the rule's edge: largest position one below and at _DENSE (positions + items)
+    for top in (deltaseq._DENSE * 6 - 1, deltaseq._DENSE * 6):
+        cases.append((np.array([0, 2, top], dtype=np.int64), [2, 1, top], top % 2 == 0))
+    # sorted keys with repeats, as subsequence and complement pass them
+    cases.append((np.array([0, 0, 3, 3, 3, 7], dtype=np.int64), [3, 0, 7, 5, -2, 8], False))
+    # a 2-d block of queries, as the reflected witnesses pass them
+    cases.append((np.arange(0, 40, 2, dtype=np.int64), np.arange(-4, 44).reshape(4, 12), False))
+    for ordered, items, searched in cases:
+        ref_idx, ref_found = searchsorted_find(ordered, items)
+        before = len(searches)
+        idx, found = deltaseq._find(ordered, items)
+        assert (len(searches) > before) == searched, ordered
+        items = np.asarray(items)
+        assert idx.shape == found.shape == items.shape and idx.dtype == np.int64
+        assert np.array_equal(found, ref_found), (ordered, items)
+        # an index means something only where its item is found
+        assert np.array_equal(ordered[idx[found]], items[found])
+        if np.all(ordered[1:] > ordered[:-1]):
+            assert np.array_equal(idx[found], ref_idx[found])
+
+
+def test_dense_positions_fill_a_table_and_sparse_ones_are_searched(rng, monkeypatch):
+    searches, original = [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or original(*a, **k))
+    seifert_ds = from_seifert(seifert.make_tuple([2, 3, 5, 7, 11, 13]))
+    seifert_ds.indices_of(seifert_ds.positions[::7])
+    from_values([1, -2, 3, -1]).refine(2, [1, 2]).indices_of([0, 4])
+    assert searches == []
+    sparse = DeltaSequence([0, 10**12], [1, -1])
+    tracemalloc.start()
+    try:
+        assert sparse.indices_of([10**12, 0]).tolist() == [1, 0]
+        assert sparse.subsequence([0, 10**12, 0, 5]) == sparse
+        assert sparse.complement([10**12, 10**12]).positions.tolist() == [0]
+        with pytest.raises(ValueError, match=r"^\[5, -1\] are not positions"):
+            sparse.indices_of([5, 0, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000 and len(searches) == 4
+
+
+def _restricted(ds, mask):
+    """The sequence at ds's positions where mask holds, or the error."""
+    if mask.any() and ds.values[mask][0] < 0:
+        return FirstElementNegativeError
+    return DeltaSequence(ds.positions[mask], ds.values[mask])
+
+
+def test_lookups_match_membership_oracle(rng):
+    for ds, present, queries, _ in _lookup_corpus(rng):
+        pos = ds.positions.tolist()
+        assert ds.indices_of(present).tolist() == [pos.index(q) for q in present]
+        missing = [q for q in queries if q not in set(pos)]
+        with pytest.raises(ValueError) as exc:
+            ds.indices_of(queries)
+        assert str(exc.value) == f"{missing[:5]} are not positions of this sequence"
+        for keep in (present, present + present[:5], queries, []):
+            mask = np.isin(ds.positions, keep)
+            expected = _restricted(ds, mask)
+            try:
+                got = ds.subsequence(keep)
+            except FirstElementNegativeError:
+                got = FirstElementNegativeError
+            assert got == expected, (ds, keep)
+            mask = ~mask & (np.cumsum(~mask & (ds.values > 0)) > 0)
+            assert ds.complement(keep) == _restricted(ds, mask)
+
+
+def test_rank_matches_sign_gather_formula(rng):
+    corpus = [[], [3], [1, -1], [2, -1, -1], [1, -2, 3, -1, 2, -5]]
+    corpus += [random_delta_values(rng, max_len=rng.choice((1, 2, 25))) for _ in range(400)]
+    corpus += [from_seifert(random_tuple(rng, max_product=10**4)).values for _ in range(10)]
+    assert sum(len(v) > 0 and v[-1] < 0 for v in corpus) >= 100
+    assert sum(len(v) == 1 for v in corpus) >= 50
+    for values in corpus:
+        assert from_values(values).rank() == rank_by_sign_gathers(values), values

@@ -289,6 +289,22 @@ def test_explicit_tree_size_guard(monkeypatch):
     assert len(root.vertices()) == 6
 
 
+def test_vertex_counts_window_guard(monkeypatch):
+    # the figure root spans gradings -2..0; a wide window is refused at once
+    root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
+    monkeypatch.setattr(gradedroot, "MAX_VERTICES", 2)
+    with pytest.raises(ValueError, match="^graded root spans 3 gradings, more than the 2 "):
+        root.vertex_counts()
+    monkeypatch.setattr(gradedroot, "MAX_VERTICES", 3)
+    assert root.vertex_counts() == {-2: 3, -1: 2, 0: 1}
+    monkeypatch.undo()
+    start = time.perf_counter()
+    for top in (10**7, 10**10):
+        with pytest.raises(ValueError, match=f"spans {top + 1} gradings"):
+            GradedRoot([0, top, 0]).vertex_counts()
+    assert time.perf_counter() - start < 1
+
+
 def test_ascii_drawing_size_guard(monkeypatch):
     root = GradedRoot.from_tau([-2, -1, -2, 0, -2])
     size = len(root.render("ascii"))

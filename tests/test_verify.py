@@ -370,8 +370,10 @@ DEGREE_CHAINS = [
      [(2, 3, 7), (2, 3, 7, 11)], False),
     (T(2, 3, 7, 11), [DegreeMove("branched_fiber", n=11, fibers=(11,))],
      [(2, 3, 7), (2, 3, 7, 11)], False),
+    # each tuple of a chain is ranked once: a cover reads the ranks of a
+    # tuple that an earlier move ranked, off its sequence or its walk
     (T(3, 4, 5, 7, 11), [DegreeMove("pinch", fibers=(4, 11)),
-                         DegreeMove("branched_regular", n=5)], [(3, 7, 44), (3, 5, 7, 44)], False),
+                         DegreeMove("branched_regular", n=5)], [(3, 7, 44)], False),
     # no sub-report: the empty chain ranks its start (= end) once
     (T(2, 3, 7), [], [(2, 3, 7)], False),
     (T(2, 3, 5), [], [], True),
@@ -381,6 +383,10 @@ DEGREE_CHAINS = [
                    DegreeMove("branched_fiber", n=11, fibers=(11,))],
      [(2, 3, 11), (2, 3, 55)], True),
     (T(2, 3, 7), [DegreeMove("branched_regular", n=7)], [(2, 3, 7)], True),
+    # two cover moves in a row: the second reads its cover's ranks off the first
+    (T(2, 3, 5, 77), [DegreeMove("branched_fiber", n=7, fibers=(77,)),
+                      DegreeMove("branched_regular", n=5)],
+     [(2, 3, 5, 11), (2, 3, 5, 77), (2, 3, 11)], False),
 ]
 
 
