@@ -412,9 +412,10 @@ class TwoGenSemigroup:
         return np.where(x < self.shift, self._small.take(x, mode="clip"), x + self.shift)
 
     def _delta_lower(self, s):
-        """1 + floor(a/r) + floor(b/q) for each member s = aq + br, 0 <= a < r."""
+        """1 + floor(a/r) + floor(b/q) for each member s = aq + br, 0 <= a < r:
+        floor(a/r) is 0 and floor(b/q) = floor(br/(qr)), one division."""
         a = _residue(s * self._q_inv_mod_r, self.r)
-        return 1 + a // self.r + (s - a * self.q) // self.r // self.q
+        return 1 + (s - a * self.q) // (self.r * self.q)
 
     def theta_array(self, b: np.ndarray) -> np.ndarray:
         """Control partner 2kqr - b - 1 of each b in [kqr, (k+1)qr) of a

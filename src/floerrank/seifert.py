@@ -38,6 +38,9 @@ the first table also carries the linear term |e_0| n.  The other
 fibers are divided out on every chunk by the formula the tables are built
 with, so a walk of one chunk does the work it always did.
 _plan makes that decision, and walk_counts reports it (rank --stats).
+When a walk tabulates every fiber, its tables and chunks are int8, kept
+mod 256: delta lies in [2 - l, l - 2] on [0, N] and l <= 15, so the
+wrapped sums are delta itself (the proof is in _delta_chunks).
 
 On a block [jp, (j+1)p) of the largest multiplicity p, delta is periodic
 with period b = P/p, since the fraction p'/p may be replaced there by its
@@ -166,11 +169,16 @@ def _half(t: SeifertTuple) -> int:
     return half
 
 
-# delta values a walk evaluates at a time; a few int64 arrays of this
-# length are alive at once, whatever N is
-_CHUNK = 1 << 14
+# delta values a walk evaluates at a time; a few arrays of this length are
+# alive at once, whatever N is: int8 chunks when every fiber is tabulated
+# (see _delta_chunks), else int64 ones.  On a 2-core host the (2,...,19)
+# walk took about 50 ms in int8 chunks of 2^15 against 74 ms in int64
+# chunks of 2^14; 2^16 was about 10% faster again, but its table build
+# raised the walk's peak of traced allocations from 1.09 to 1.68 MB.
+_CHUNK = 1 << 15
 # largest fiber-group period tabulated: a table holds at most
-# _PERIOD + _CHUNK int64 values, about 0.6 MB
+# _PERIOD + _CHUNK values, 96 kB as int8 and 0.8 MB as int64, and is built
+# with two int64 scratch arrays of its length
 _PERIOD = 1 << 16
 # a walk reads a chunk off its positive entries, not its compacted
 # nonzeros, when at most 1/_SPARSE of the chunk is positive
@@ -181,11 +189,13 @@ def _subtract_ceilings(acc: np.ndarray, n: np.ndarray, pairs, term: np.ndarray):
     """acc -= the sum of ceil(n p'/p) over the (p', p) pairs, in place; term is scratch.
 
     ceil(n p'/p) = -floor(-n p'/p), and numpy's // floors, so each fiber
-    takes three passes."""
+    takes three passes.  The add runs in acc's dtype, so an int8 acc (a
+    table of _delta_chunks) takes each term mod 256, and the cast needs
+    no int64 buffer."""
     for pp, p in pairs:
         np.multiply(n, -pp, out=term)
         term //= p
-        acc += term
+        np.add(acc, term, out=acc, dtype=acc.dtype, casting="unsafe")
 
 
 def _plan(pairs, work: int) -> tuple:
@@ -215,11 +225,11 @@ def _plan(pairs, work: int) -> tuple:
 
 def _delta_chunks(inv: NormalizedInvariants, spans, work: int, out=None):
     """Yield delta(n) over each span first <= n < stop of spans, in turn, in
-    consecutive int64 chunks of at most _CHUNK values, none across two
-    spans; work is the spans' total length, and the caller guards the range.
+    consecutive chunks of at most _CHUNK values, none across two spans;
+    work is the spans' total length, and the caller guards the range.
 
-    The chunks are views of out (length work) when it is given, else of
-    one buffer reused from chunk to chunk, so only the last chunk yielded
+    The chunks are views of out (int64, length work) when it is given, else
+    of one buffer reused from chunk to chunk, so only the last chunk yielded
     is valid.  A fiber group G of period Q = prod p_i has
     F_G(n + Q) = F_G(n) + A_G, with F_G(n) the sum of its ceil(n p_i'/p_i)
     and A_G = sum (Q/p_i) p_i'.  For each group _plan tabulates, -F_G is
@@ -229,20 +239,42 @@ def _delta_chunks(inv: NormalizedInvariants, spans, work: int, out=None):
     and no chunk multiplies n by |e0|.  Every other fiber is divided out on
     each chunk, by the formula the tables are built with; with no table,
     |e0| n is too.
+
+    When every fiber is tabulated and there is no out, the tables and the
+    chunks are int8, each value kept mod 256 (casts and int8 adds wrap), so
+    a chunk is its slice adds and a shift reduced into [-128, 127], with no
+    int64 pass.  The sum is exact mod 256, and so is delta, because delta
+    is in int8's range on [0, N]: ceil(x) = x + frac(-x) and
+    sum p_i'/p_i = |e0| - 1/P give delta(n) = 1 + n/P - sum frac(-n p_i'/p_i),
+    and 0 <= n/P <= N/P < l - 2 with each frac in [0, 1), so
+    2 - l <= delta(n) <= l - 2, and a walk reads only n < N/2.  l
+    pairwise coprime multiplicities have distinct least prime factors, so
+    P is at least the product of the first l primes, which passes 2^63 at
+    l = 16: checked_product refuses that, l <= 15 and |delta| <= 13.  A
+    walk with a divided fiber, and every delta_array, stays int64.
     """
     tabulated, divided = _plan(inv.pairs, work)
+    wrap = out is None and not divided
+    dtype = np.int8 if wrap else np.int64
     e = abs(inv.e0)
     tables = []
     for period, group in tabulated:
+        # one table of dtype and two int64 scratch arrays of its length
         span = np.arange(period + _CHUNK, dtype=np.int64)
-        table = np.zeros_like(span) if tables else span * e
+        table = np.zeros(span.size, dtype)
+        if not tables:
+            np.multiply(span, e, out=table, dtype=table.dtype, casting="unsafe")
         _subtract_ceilings(table, span, group, np.empty_like(span))
         tables.append((period, sum(period // p * pp for pp, p in group), table))
     # the chunk's n, moved in place to each chunk's start (at); only divided
-    # fibers read it, and with no table every fiber is divided
+    # fibers read it, and with no table every fiber is divided, so with none
+    # divided n and its scratch are a view of one zero, which allocates nothing
     size = min(_CHUNK, work)
-    ns, terms = np.arange(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    buffers = np.empty_like(ns) if out is None else None
+    if divided:
+        ns, terms = np.arange(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    else:
+        ns = terms = np.broadcast_to(np.int64(0), size)
+    buffers = np.empty(size, dtype) if out is None else None
     n, term, buffer = ns, terms, buffers
     at = done = 0
     for first, stop in spans:
@@ -263,7 +295,10 @@ def _delta_chunks(inv: NormalizedInvariants, spans, work: int, out=None):
             if tables:
                 q, _, table = tables[0]
                 r = start % q
-                np.add(table[r:r + m], shift + e * (start - r), out=d)
+                shift += e * (start - r)
+                if wrap:
+                    shift = (shift + 128) % 256 - 128
+                np.add(table[r:r + m], shift, out=d)
                 for q, _, table in tables[1:]:
                     r = start % q
                     d += table[r:r + m]
@@ -332,8 +367,8 @@ def _repeat(s: tuple, r: int) -> tuple:
 
 
 def _read(d: np.ndarray, mask: np.ndarray, edge: np.ndarray) -> tuple:
-    """The summary of a chunk d of delta; mask and edge are boolean buffers
-    at least as long as d.
+    """The summary of a chunk d of delta, int8 or int64; mask and edge are
+    boolean buffers at least as long as d.
 
     The chunk first counts its positives.  Between two positives tau only
     falls, so a chunk with none is read off its sum, and one at most
@@ -343,19 +378,23 @@ def _read(d: np.ndarray, mask: np.ndarray, edge: np.ndarray) -> tuple:
     (positives after a nonzero fall).  Any other chunk is compacted to its
     nonzeros (compress, about half the cost of boolean indexing) and read
     off those.  So a chunk allocates only arrays of its positives' or its
-    nonzeros' length (with compress's index array).
+    nonzeros' length (with compress's index array).  Every sum, reduceat
+    and cumsum is taken as int64, and the positives gathered off d are
+    widened before any arithmetic, so an int8 chunk reads as its int64
+    values would.
     """
     rises = np.greater(d, 0, out=mask[:d.size])
     k = int(np.count_nonzero(rises))
     if not k:                               # tau only falls
-        fall = int(d.sum())
+        fall = int(d.sum(dtype=np.int64))
         sign = -1 if fall < 0 else 0
         return -fall, fall, fall, 0, sign, sign
     if k * _SPARSE <= d.size:               # read off the positives
         pos = np.flatnonzero(rises)
-        head = int(d[:pos[0]].sum())        # the fall before the first positive
-        seg = np.add.reduceat(d, pos)       # each positive and the fall after it
-        up = d[pos]
+        # the fall before the first positive, and each positive with the fall after it
+        head = int(d[:pos[0]].sum(dtype=np.int64))
+        seg = np.add.reduceat(d, pos, dtype=np.int64)
+        up = d[pos].astype(np.int64, copy=False)
         total = head + int(seg.sum())
         kappa = 2 * int(up.sum()) - total
         gap = np.subtract(seg, up, out=up)
@@ -368,8 +407,8 @@ def _read(d: np.ndarray, mask: np.ndarray, edge: np.ndarray) -> tuple:
     neg = np.less(nz, 0, out=mask[:nz.size])
     # a - to + change is a negative followed by a positive: True > False
     changes = int(np.count_nonzero(np.greater(neg[:-1], neg[1:], out=edge[:nz.size - 1])))
-    kappa = int(np.abs(nz).sum())
-    walk = np.cumsum(nz, out=nz)
+    kappa = int(np.abs(nz).sum(dtype=np.int64))
+    walk = np.cumsum(nz, dtype=np.int64)
     return (kappa, int(walk[-1]), min(0, int(walk.min())), changes,
             -1 if neg[0] else 1, -1 if neg[-1] else 1)
 
@@ -403,12 +442,14 @@ def walk_statistics(t: SeifertTuple) -> WalkStatistics:
     is negative, and the final descent adds one: c = 2 c_half + [last < 0]
     + 1.  delta is evaluated _CHUNK values at a time, each chunk is read
     into a summary (_read), and the summaries are joined left to right, so
-    memory is flat in N.  The masks go into two boolean buffers allocated
-    once per walk; an int64 buffer held for the walk would sit beside a
-    chunk's arrays and raise the walk's peak.  A fiber group whose period
-    the half walks past more than once is read from a table of its period
-    (see _plan) instead of being divided out on every chunk; a walk of one
-    chunk builds no table.
+    memory is flat in N.  The chunks are int8 when every fiber is
+    tabulated (see _delta_chunks), so the reader's compares, compress and
+    sums pass over one byte per entry.  The masks go into two boolean
+    buffers allocated once per walk; an int64 buffer held for the walk
+    would sit beside a chunk's arrays and raise the walk's peak.  A fiber
+    group whose period the half walks past more than once is read from a
+    table of its period (see _plan) instead of being divided out on every
+    chunk; a walk of one chunk builds no table.
 
     The largest fiber gives a second path.  With p its multiplicity, p' its
     invariant and b = P/p, the defining relation taken mod p gives

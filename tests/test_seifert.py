@@ -280,6 +280,120 @@ def test_walk_kernel_large_records(ms, kappa, min_tau, c):
     assert chunked_walk(t) == (kappa, min_tau, c)
 
 
+def _all_tabulated(rng, count, lengths, max_product) -> list:
+    """count distinct seeded tuples whose walk, at the current _CHUNK and
+    _PERIOD, tabulates every fiber, so that it reads int8 chunks."""
+    out = []
+    while len(out) < count:
+        t = random_tuple(rng, lengths=lengths, max_product=max_product)
+        if not seifert.walk_counts(t)["fibers_divided"] and t not in out:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+def test_int8_walk_matches_oracles(monkeypatch, chunk):
+    # a walk that tabulates every fiber reads int8 chunks, each value kept
+    # mod 256; its (kappa, min tau, c) against the dense views and the
+    # chunked loop on seeded tuples of 3 to 8 fibers, at chunks that split
+    # every carry and at the default, and on the rank benchmark's records
+    rng = random.Random(46)
+    if chunk:
+        # _PERIOD at 64 splits a small tuple's fibers into groups its walk
+        # revisits, so that every fiber is tabulated
+        monkeypatch.setattr(seifert, "_CHUNK", chunk)
+        monkeypatch.setattr(seifert, "_PERIOD", 64)
+        if chunk < 16:      # 1/16 of a chunk this small holds no positive
+            monkeypatch.setattr(seifert, "_SPARSE", 1 if chunk == 1 else 2)
+        # random tuples of 5 fibers or more under these products are rare,
+        # so 5 to 7 fibers are the smallest such tuples
+        max_product, most = {1: (3000, 5), 7: (20000, 6), 64: (2 * 10**5, 7)}[chunk]
+        corpus = _all_tabulated(rng, 20, (3, 4), max_product)
+        corpus += [seifert.make_tuple([2, 3, 5, 7, 11, 13, 17][:k]) for k in range(5, most + 1)]
+        want = set(range(3, most + 1))
+    else:
+        corpus = _all_tabulated(rng, 20, (4, 5, 6), 10**6)
+        corpus += [seifert.make_tuple(ms) for ms in
+                   ([2, 3, 5, 7, 11, 13, 19], [2, 3, 5, 7, 11, 13, 17, 23])]
+        want = {4, 5, 6, 7, 8}
+    seen = set()
+    for t in corpus:
+        if t.fiber_count < 8:   # eight fibers walk 22M entries or more
+            assert_matches_oracle(t)
+        got = seifert.walk_statistics(t)
+        assert (got.kappa, got.min_tau, got.c) == chunked_walk(t), t
+        assert not seifert.walk_counts(t)["fibers_divided"], t
+        seen.add(t.fiber_count)
+        if abs(seifert.normalized_invariants(t).e0) >= 2:
+            seen.add("linear term wraps")
+    assert want | {"linear term wraps"} <= seen, want - seen
+    # the records, at the default chunk: the block walk of (2,3,5,344827)
+    # divides its fibers, the others are read from int8 tables
+    records = {(2, 3, 5, 7, 11, 163): (405960, -349950, 53936),
+               (2, 3, 5, 7, 11, 13, 17): (922733, -825720, 81120),
+               (2, 3, 5, 344827): (1896541, -1206888, 678159),
+               (2, 3, 5, 7, 11, 13, 17, 19): (27286894, -25040582, 1663009)}
+    for ms, record in records.items() if chunk is None else ():
+        t = seifert.make_tuple(ms)
+        got = seifert.walk_statistics(t)
+        assert (got.kappa, got.min_tau, got.c) == record == chunked_walk(t), ms
+        if seifert.n_cutoff(t) < 2 * 10**6:
+            dense = dense_walk(t)
+            assert (dense.kappa, dense.min_tau, dense.c) == record, ms
+
+
+def test_delta_chunks_are_int8_exactly_when_every_fiber_is_tabulated():
+    # _delta_chunks yields int8 chunks when _plan tabulates every fiber and
+    # no out is given, else int64 ones, each equal to the division formula;
+    # delta_array and chunks written into an out are int64 always
+    rng = random.Random(47)
+    corpus = [random_tuple(rng, lengths=(3, 4, 5, 6, 7), max_entry=60, max_product=10**6)
+              for _ in range(40)]
+    corpus.append(seifert.make_tuple([2, 3, 5, 7, 11, 13, 17, 19]))
+    kinds = set()
+    for t in corpus:
+        inv = seifert.normalized_invariants(t)
+        half = (seifert.n_cutoff(t) + 1) // 2
+        _, divided = seifert._plan(inv.pairs, half)
+        want = np.int64 if divided else np.int8
+        kinds.add(want)
+        start = 0
+        for d in seifert._delta_chunks(inv, [(0, half)], half):
+            assert d.dtype == want, t
+            assert np.array_equal(d, dense_delta(t, start + d.size - 1, start)), (t, start)
+            start += d.size
+        assert start == half, t
+        if t.fiber_count < 8:
+            out = np.empty(half, dtype=np.int64)
+            for d in seifert._delta_chunks(inv, [(0, half)], half, out):
+                assert d.dtype == np.int64, t
+            D = seifert.delta_array(t, half - 1)
+            assert D.dtype == np.int64 and np.array_equal(D, out), t
+    assert kinds == {np.int8, np.int64}
+
+
+def test_delta_bound_keeps_int8_chunks_exact():
+    # 2 - l <= delta <= l - 2 on [0, N], and no tuple has more than 15
+    # fibers: the product of the 16 smallest primes, the least product of
+    # 16 pairwise coprime multiplicities, passes 2^63.  So |delta| <= 13,
+    # and an int8 chunk, exact mod 256, is delta itself
+    rng = random.Random(48)
+    corpus = [random_tuple(rng, lengths=(3, 4, 5, 6, 7), max_entry=60, max_product=10**6)
+              for _ in range(60)]
+    widest = set()
+    for t in corpus:
+        D = dense_delta(t, seifert.n_cutoff(t))
+        assert np.abs(D).max() <= t.fiber_count - 2, t
+        if np.abs(D).max() == t.fiber_count - 2:
+            widest.add(t.fiber_count)
+    assert {3, 4, 5} <= widest
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    assert math.prod(primes[:15]) < 2**63 <= math.prod(primes)
+    assert seifert.make_tuple(primes[:15]).fiber_count == 15
+    with pytest.raises(OverflowError):
+        seifert.make_tuple(primes)
+
+
 def _largest_fiber_tuples(rng, count, lengths, max_b, spread):
     """count tuples whose largest multiplicity p exceeds b = P/p: the others
     are drawn from 2..13 with product b <= max_b, p from (b, spread * b]."""
@@ -394,9 +508,10 @@ def test_block_walk_matches_oracles(monkeypatch, chunk, max_b):
 
 
 def test_block_walk_six_fibers():
-    # p = 16391 > _CHUNK and p >= 4b, b = 2310: 3,157 blocks, 7.3M of the
-    # half's 51.7M entries evaluated, every fiber read from a table
-    t = seifert.make_tuple([2, 3, 5, 7, 11, 16391])
+    # p = 32771 > _CHUNK and p >= 4b, b = 2310: 3,157 blocks, 7.3M of the
+    # half's 103.4M entries evaluated, every fiber read from a table (so
+    # the blocks' chunks are int8)
+    t = seifert.make_tuple([2, 3, 5, 7, 11, 32771])
     assert seifert._period(t) == 2310
     got = seifert.walk_statistics(t)
     assert got == _walk_by(t, blocks=False)
@@ -453,8 +568,8 @@ def test_rule_sends_botany_and_the_benchmark_records_to_the_chunk_walk():
         assert seifert._period(t) == 0 and "blocks" not in seifert.walk_counts(t), ms
     assert not any(seifert._period(seifert.make_tuple(ms)) for ms in botany.candidates(12))
     # each condition on its own: p <= _CHUNK, p < 4b, b > _PERIOD
-    edge = {(2, 3, 16411): 6, (2, 3, 16381): 0, (4, 1023, 16385): 4092,
-            (4, 1025, 16387): 0, (2, 3, 5, 7, 11, 13, 131101): 30030,
+    edge = {(2, 3, 32771): 6, (2, 3, 32767): 0, (4, 2047, 32769): 8188,
+            (4, 2049, 32771): 0, (2, 3, 5, 7, 11, 13, 131101): 30030,
             (2, 3, 5, 7, 11, 13, 17, 2042041): 0}
     for ms, period in edge.items():
         assert seifert._period(seifert.make_tuple(ms)) == period, ms

@@ -22,11 +22,11 @@ from floerrank import seifert
 from floerrank.seifert import SeifertTuple
 
 
-def dense_delta(t: SeifertTuple, upto: int) -> np.ndarray:
-    """delta(n) = 1 + |e0| n - sum ceil(n p_i'/p_i) for n = 0..upto, as int64."""
+def dense_delta(t: SeifertTuple, upto: int, start: int = 0) -> np.ndarray:
+    """delta(n) = 1 + |e0| n - sum ceil(n p_i'/p_i) for n = start..upto, as int64."""
     inv = seifert.normalized_invariants(t)
     assert 4 * (upto + 1) * max(abs(inv.e0), max(t.multiplicities)) < 2**63
-    n = np.arange(upto + 1, dtype=np.int64)
+    n = np.arange(start, upto + 1, dtype=np.int64)
     acc = n * abs(inv.e0) + 1
     for pp, p in inv.pairs:
         acc -= (n * pp + p - 1) // p
